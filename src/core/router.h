@@ -168,6 +168,10 @@ class Router {
   RouterConfig config_;
   std::unique_ptr<EventQueue> owned_engine_;  // null when the engine is shared
   EventQueue& engine_;
+  // Declared before the processors so it outlives their coroutine frames:
+  // a StrongARM or Pentium loop torn down mid-packet still holds a frame
+  // from this pool, and its destructor returns the frame here.
+  PacketPool packet_pool_;
   Ixp1200 chip_;
   HostSystem host_;
   RouterStats stats_;
@@ -188,7 +192,6 @@ class Router {
   AdmissionControl admission_;
 
   std::vector<std::unique_ptr<MacPort>> ports_;
-  PacketPool packet_pool_;
   std::unique_ptr<QueuePlan> queues_;
   std::unique_ptr<PacketQueue> sa_local_queue_;
   std::unique_ptr<PacketQueue> sa_pentium_queue_;

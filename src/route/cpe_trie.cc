@@ -1,5 +1,6 @@
 #include "src/route/cpe_trie.h"
 
+#include <algorithm>
 #include <cassert>
 #include <numeric>
 
@@ -23,10 +24,16 @@ CpeTrie::CpeTrie(std::vector<int> strides) : strides_(std::move(strides)) {
 }
 
 int CpeTrie::NewNode(int level) {
-  Node node;
-  node.level = level;
-  node.slots.resize(size_t{1} << strides_[static_cast<size_t>(level)]);
-  nodes_.push_back(std::move(node));
+  const size_t slots = size_t{1} << strides_[static_cast<size_t>(level)];
+  if (!free_nodes_.empty()) {
+    const int idx = free_nodes_.back();
+    free_nodes_.pop_back();
+    Node& node = nodes_[static_cast<size_t>(idx)];
+    node.level = level;
+    node.slots.resize(slots);
+    return idx;
+  }
+  nodes_.push_back(Node{level, std::vector<Slot>(slots)});
   return static_cast<int>(nodes_.size()) - 1;
 }
 
@@ -87,9 +94,48 @@ CpeTrie::LookupResult CpeTrie::Lookup(uint32_t ip) const {
   }
 }
 
-void CpeTrie::Clear() {
-  nodes_.clear();
-  NewNode(0);
+void CpeTrie::Remove(const Prefix& prefix, std::optional<Covering> covering) {
+  RemoveAt(0, prefix, covering, 0);
+}
+
+bool CpeTrie::RemoveAt(int node_idx, const Prefix& prefix, std::optional<Covering> covering,
+                       int bit_off) {
+  const int stride = strides_[static_cast<size_t>(nodes_[static_cast<size_t>(node_idx)].level)];
+  const int remaining = static_cast<int>(prefix.len) - bit_off;
+  auto& slots = nodes_[static_cast<size_t>(node_idx)].slots;
+
+  if (remaining <= stride) {
+    // Only the slots the prefix still owns change hands; longer prefixes
+    // keep theirs. A covering prefix lands here unless it ends at or above
+    // this node's first bit (the root takes every length up to its stride).
+    Slot fallback;
+    if (covering && (bit_off == 0 || covering->len > bit_off)) {
+      fallback.value = static_cast<int32_t>(covering->value);
+      fallback.value_plen = covering->len;
+    }
+    const uint32_t span = uint32_t{1} << (stride - remaining);
+    const uint32_t first = ExtractBits(prefix.addr, bit_off, remaining) << (stride - remaining);
+    for (uint32_t i = first; i < first + span; ++i) {
+      Slot& slot = slots[i];
+      if (slot.value >= 0 && slot.value_plen == prefix.len) {
+        slot.value = fallback.value;
+        slot.value_plen = fallback.value_plen;
+      }
+    }
+  } else {
+    const uint32_t idx = ExtractBits(prefix.addr, bit_off, stride);
+    const int child = slots[idx].child;
+    if (child < 0 || !RemoveAt(child, prefix, covering, bit_off + stride)) {
+      return false;  // this node keeps its child (or never had the prefix)
+    }
+    slots[idx].child = -1;
+    nodes_[static_cast<size_t>(child)].slots.clear();
+    free_nodes_.push_back(child);
+  }
+  // The root stays even when empty, as in a fresh trie.
+  return node_idx != 0 && std::all_of(slots.begin(), slots.end(), [](const Slot& slot) {
+           return slot.value < 0 && slot.child < 0;
+         });
 }
 
 size_t CpeTrie::MemoryBytes() const {

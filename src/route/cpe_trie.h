@@ -29,16 +29,27 @@ class CpeTrie {
   // next-hop handle (index into the route table's entry array).
   void Insert(const Prefix& prefix, uint32_t value);
 
+  // The longest remaining prefix that contains a withdrawn one.
+  struct Covering {
+    uint32_t value;
+    uint8_t len;
+  };
+  // Withdraws an inserted prefix in place. The slots it owns take
+  // `covering`'s value if that prefix lands in the same node (a shorter
+  // level needs nothing: the lookup walk already falls back to it), and
+  // nodes left with no value and no child are unlinked, deepest first.
+  // The result is indistinguishable from a fresh build of what remains.
+  void Remove(const Prefix& prefix, std::optional<Covering> covering);
+
   struct LookupResult {
     std::optional<uint32_t> value;
     int nodes_visited = 0;  // = memory accesses a hardware walk would make
   };
   LookupResult Lookup(uint32_t ip) const;
 
-  // Removes everything (RouteTable rebuilds on withdrawals).
-  void Clear();
-
-  size_t node_count() const { return nodes_.size(); }
+  // Live nodes; unlinked ones wait in a free list for the next insert.
+  size_t node_count() const { return nodes_.size() - free_nodes_.size(); }
+  size_t allocated_nodes() const { return nodes_.size(); }
   // Total table memory if each slot were a 4-byte SRAM word.
   size_t MemoryBytes() const;
 
@@ -50,17 +61,17 @@ class CpeTrie {
   };
   struct Node {
     int level;
-    std::vector<Slot> slots;
+    std::vector<Slot> slots;  // empty while the node is free
   };
 
   int NewNode(int level);
   void InsertAt(int node_idx, uint32_t addr, uint8_t len, uint32_t value, int bit_off);
-  // Pushes `value` into every slot of the subtree whose current value was
-  // written by a shorter prefix.
-  void PushValue(int node_idx, uint32_t value, uint8_t plen);
+  // Returns true when the node is left empty for its parent to unlink.
+  bool RemoveAt(int node_idx, const Prefix& prefix, std::optional<Covering> covering, int bit_off);
 
   std::vector<int> strides_;
   std::vector<Node> nodes_;
+  std::vector<int> free_nodes_;
 };
 
 }  // namespace npr

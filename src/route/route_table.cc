@@ -3,19 +3,21 @@
 namespace npr {
 
 void RouteTable::AddRoute(const Prefix& prefix, const RouteEntry& entry) {
-  routes_[prefix] = entry;
-  // Inserts are incremental (the trie handles longest-prefix priority on
-  // overlap); replacing an existing prefix just rewrites its entry slot.
-  // Only withdrawals need a rebuild.
-  auto it = entry_index_.find(prefix);
-  if (it != entry_index_.end()) {
-    entries_[it->second] = entry;
-  } else {
-    entries_.push_back(entry);
-    const uint32_t index = static_cast<uint32_t>(entries_.size() - 1);
-    entry_index_[prefix] = index;
-    trie_.Insert(prefix, index);
+  // Longer prefixes take priority wherever they overlap (the trie handles
+  // it), so an insert only writes the new prefix's own slots; replacing an
+  // existing prefix just rewrites its entry.
+  auto [it, inserted] = entry_index_.try_emplace(prefix, 0);
+  if (inserted) {
+    if (free_entries_.empty()) {
+      it->second = static_cast<uint32_t>(entries_.size());
+      entries_.emplace_back();
+    } else {
+      it->second = free_entries_.back();
+      free_entries_.pop_back();
+    }
+    trie_.Insert(prefix, it->second);
   }
+  entries_[it->second] = entry;
   ++epoch_;
 }
 
@@ -32,27 +34,24 @@ bool RouteTable::AddRoute(const std::string& cidr, uint8_t out_port) {
 }
 
 bool RouteTable::RemoveRoute(const Prefix& prefix) {
-  if (routes_.erase(prefix) == 0) {
+  auto it = entry_index_.find(prefix);
+  if (it == entry_index_.end()) {
     return false;
   }
-  Rebuild();
-  return true;
-}
-
-void RouteTable::Rebuild() {
-  // Withdrawals invalidate expanded slots, so the trie is rebuilt from the
-  // authoritative prefix map. At control-plane update rates this is cheap;
-  // the data plane never calls it.
-  trie_.Clear();
-  entries_.clear();
-  entry_index_.clear();
-  entries_.reserve(routes_.size());
-  for (const auto& [prefix, entry] : routes_) {
-    entries_.push_back(entry);
-    entry_index_[prefix] = static_cast<uint32_t>(entries_.size() - 1);
-    trie_.Insert(prefix, static_cast<uint32_t>(entries_.size() - 1));
+  free_entries_.push_back(it->second);
+  entry_index_.erase(it);
+  // The withdrawn slots fall back to the longest remaining prefix that
+  // contains this one: one probe per shorter length, longest first.
+  std::optional<CpeTrie::Covering> covering;
+  for (int len = prefix.len - 1; len >= 0 && !covering; --len) {
+    auto cover = entry_index_.find(Prefix::Make(prefix.addr, static_cast<uint8_t>(len)));
+    if (cover != entry_index_.end()) {
+      covering = CpeTrie::Covering{cover->second, static_cast<uint8_t>(len)};
+    }
   }
+  trie_.Remove(prefix, covering);
   ++epoch_;
+  return true;
 }
 
 RouteTable::LookupResult RouteTable::Lookup(uint32_t dst_ip) const {
@@ -66,7 +65,12 @@ RouteTable::LookupResult RouteTable::Lookup(uint32_t dst_ip) const {
 }
 
 std::vector<std::pair<Prefix, RouteEntry>> RouteTable::Dump() const {
-  return {routes_.begin(), routes_.end()};
+  std::vector<std::pair<Prefix, RouteEntry>> routes;
+  routes.reserve(entry_index_.size());
+  for (const auto& [prefix, index] : entry_index_) {
+    routes.emplace_back(prefix, entries_[index]);
+  }
+  return routes;
 }
 
 }  // namespace npr

@@ -41,19 +41,22 @@ class RouteTable {
   };
   LookupResult Lookup(uint32_t dst_ip) const;
 
-  size_t size() const { return routes_.size(); }
+  size_t size() const { return entry_index_.size(); }
   // Bumped on every mutation; route caches use it for invalidation.
   uint64_t epoch() const { return epoch_; }
 
   // All installed routes (for diagnostics and the control plane).
   std::vector<std::pair<Prefix, RouteEntry>> Dump() const;
 
- private:
-  void Rebuild();
+  // The lookup structure, for its node and memory accounting.
+  const CpeTrie& trie() const { return trie_; }
+  // Entry slots in use or awaiting reuse by the next AddRoute.
+  size_t entry_slots() const { return entries_.size(); }
 
-  std::map<Prefix, RouteEntry> routes_;
+ private:
   std::vector<RouteEntry> entries_;        // trie values index into this
-  std::map<Prefix, uint32_t> entry_index_; // prefix -> slot in entries_
+  std::vector<uint32_t> free_entries_;     // withdrawn slots of entries_
+  std::map<Prefix, uint32_t> entry_index_; // installed prefix -> slot in entries_
   CpeTrie trie_;
   uint64_t epoch_ = 0;
 };

@@ -20,7 +20,8 @@ std::optional<uint32_t> IStoreLayout::InstallPerFlow(const VrpProgram& program) 
   }
   used_ += slots;
   const uint32_t id = next_id_++;
-  entries_[id] = Entry{program, /*general=*/false, slots, install_seq_++, 0};
+  entries_[id] = Entry{program, /*general=*/false, slots, install_seq_++, 0,
+                       /*throttled=*/false, /*staged=*/{}, /*retained=*/{}};
   return id;
 }
 
@@ -33,7 +34,8 @@ std::optional<uint32_t> IStoreLayout::InstallGeneral(const VrpProgram& program,
   }
   used_ += slots;
   const uint32_t id = next_id_++;
-  entries_[id] = Entry{program, /*general=*/true, slots, install_seq_++, state_addr};
+  entries_[id] = Entry{program, /*general=*/true, slots, install_seq_++, state_addr,
+                       /*throttled=*/false, /*staged=*/{}, /*retained=*/{}};
   return id;
 }
 

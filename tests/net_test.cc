@@ -463,6 +463,31 @@ TEST(PacketPool, CapExhaustionFailsGracefullyAndRecovers) {
   EXPECT_EQ(pool.outstanding(), 0u);
 }
 
+TEST(PacketPool, EveryBufferIsAlignedForItsHeader) {
+  // Two slabs per class. A misaligned header lets its atomic refcount
+  // straddle a cache line, which turns every Ref/Unref into a bus lock.
+  PacketPool pool;
+  std::vector<FrameBuf*> bufs;
+  for (uint32_t bytes : PacketPool::kClassBytes) {
+    for (int i = 0; i < 2 * PacketPool::kSlabFrames; ++i) {
+      FrameBuf* buf = pool.TryAcquire(bytes);
+      ASSERT_NE(buf, nullptr);
+      bufs.push_back(buf);
+    }
+  }
+  EXPECT_EQ(pool.slabs_allocated(), 2u * PacketPool::kNumClasses);
+  for (FrameBuf* buf : bufs) {
+    const auto addr = reinterpret_cast<uintptr_t>(buf);
+    const auto rc = reinterpret_cast<uintptr_t>(&buf->refcount);
+    EXPECT_EQ(addr % alignof(FrameBuf), 0u) << "capacity " << buf->capacity;
+    EXPECT_EQ(rc / 64, (rc + sizeof(buf->refcount) - 1) / 64) << "capacity " << buf->capacity;
+  }
+  for (FrameBuf* buf : bufs) {
+    buf->Unref();
+  }
+  EXPECT_EQ(pool.outstanding(), 0u);
+}
+
 TEST(PacketPool, HeapBuffersBypassTheLedger) {
   PacketPool pool;
   FrameBuf* h = PacketPool::AcquireHeap(2000);

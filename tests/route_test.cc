@@ -99,6 +99,40 @@ TEST(CpeTrie, DefaultRoute) {
   EXPECT_EQ(trie.Lookup(0x0a000001).value, 1u);
 }
 
+// Naive longest-prefix match over the prefixes of `routes` no longer than
+// `max_len`: the matching value and its prefix length.
+std::optional<CpeTrie::Covering> NaiveMatch(const std::map<Prefix, uint32_t>& routes, uint32_t ip,
+                                            int max_len = 32) {
+  std::optional<CpeTrie::Covering> best;
+  for (const auto& [prefix, value] : routes) {
+    if (prefix.len <= max_len && prefix.Contains(ip) && (!best || prefix.len > best->len)) {
+      best = CpeTrie::Covering{value, prefix.len};
+    }
+  }
+  return best;
+}
+
+// Probes `trie` against the naive reference: half the probes target
+// installed prefixes to guarantee hits, the rest are uniform.
+void ExpectMatchesReference(const CpeTrie& trie, const std::map<Prefix, uint32_t>& reference,
+                            Rng& rng) {
+  for (int q = 0; q < 300; ++q) {
+    uint32_t ip;
+    if (q % 2 == 0 && !reference.empty()) {
+      auto it = reference.begin();
+      std::advance(it, static_cast<long>(rng.Uniform(reference.size())));
+      ip = it->first.addr | (static_cast<uint32_t>(rng.Next()) & ~it->first.Mask());
+    } else {
+      ip = static_cast<uint32_t>(rng.Next());
+    }
+    std::optional<uint32_t> expect;
+    if (auto match = NaiveMatch(reference, ip)) {
+      expect = match->value;
+    }
+    EXPECT_EQ(trie.Lookup(ip).value, expect) << "ip=" << Ipv4ToString(ip);
+  }
+}
+
 // Property test: against a naive reference implementation, over random
 // prefix sets and random stride configurations.
 class CpeTrieProperty : public ::testing::TestWithParam<std::vector<int>> {};
@@ -114,28 +148,49 @@ TEST_P(CpeTrieProperty, MatchesNaiveReferenceOnRandomSets) {
       reference[p] = static_cast<uint32_t>(i);
       trie.Insert(p, static_cast<uint32_t>(i));
     }
-    for (int q = 0; q < 300; ++q) {
-      // Half the probes target installed prefixes to guarantee hits.
-      uint32_t ip;
-      if (q % 2 == 0) {
-        auto it = reference.begin();
-        std::advance(it, static_cast<long>(rng.Uniform(reference.size())));
-        ip = it->first.addr | (static_cast<uint32_t>(rng.Next()) & ~it->first.Mask());
-      } else {
-        ip = static_cast<uint32_t>(rng.Next());
+    ExpectMatchesReference(trie, reference, rng);
+  }
+}
+
+// Withdrawing a random third in place leaves the trie equal to the naive
+// reference, and as small as a trie built from the survivors.
+TEST_P(CpeTrieProperty, WithdrawalsMatchNaiveReference) {
+  Rng rng(0xdecafbad);
+  for (int trial = 0; trial < 5; ++trial) {
+    std::map<Prefix, uint32_t> reference;
+    size_t nodes = 0;
+    size_t bytes = 0;
+    {  // One trie at a time: a 24-bit root alone is 16M slots.
+      CpeTrie trie(GetParam());
+      for (int i = 0; i < 60; ++i) {
+        // Nested lengths over a few shared /8s, so withdrawals fall back.
+        const uint8_t len = static_cast<uint8_t>(rng.Range(4, 32));
+        const uint32_t top = static_cast<uint32_t>(rng.Uniform(4)) << 24;
+        const Prefix p =
+            Prefix::Make(top | (static_cast<uint32_t>(rng.Next()) & 0x0003ff0f), len);
+        reference[p] = static_cast<uint32_t>(i);
+        trie.Insert(p, static_cast<uint32_t>(i));
       }
-      // Naive longest-prefix match.
-      std::optional<uint32_t> expect;
-      int best_len = -1;
+      std::vector<Prefix> installed;
       for (const auto& [prefix, value] : reference) {
-        if (prefix.Contains(ip) && prefix.len > best_len) {
-          best_len = prefix.len;
-          expect = value;
-        }
+        installed.push_back(prefix);
       }
-      auto got = trie.Lookup(ip);
-      EXPECT_EQ(got.value, expect) << "ip=" << Ipv4ToString(ip);
+      for (size_t k = 0; k < installed.size() / 3; ++k) {
+        std::swap(installed[k], installed[k + rng.Uniform(installed.size() - k)]);
+        const Prefix withdrawn = installed[k];
+        reference.erase(withdrawn);
+        trie.Remove(withdrawn, NaiveMatch(reference, withdrawn.addr, withdrawn.len - 1));
+      }
+      ExpectMatchesReference(trie, reference, rng);
+      nodes = trie.node_count();
+      bytes = trie.MemoryBytes();
     }
+    CpeTrie fresh(GetParam());
+    for (const auto& [prefix, value] : reference) {
+      fresh.Insert(prefix, value);
+    }
+    EXPECT_EQ(nodes, fresh.node_count());
+    EXPECT_EQ(bytes, fresh.MemoryBytes());
   }
 }
 
@@ -204,6 +259,87 @@ TEST(RouteTable, DumpListsRoutes) {
 TEST(RouteTable, RejectsMalformedCidr) {
   RouteTable table;
   EXPECT_FALSE(table.AddRoute("nonsense", 0));
+}
+
+// Every lookup of `table` (entry and memory accesses) equals that of a table
+// built fresh from `routes` — inside each route, inside each candidate
+// prefix whether installed or withdrawn, and at random addresses, which
+// mostly miss — and the two are the same size.
+void ExpectEqualsFreshBuild(const RouteTable& table, const std::map<Prefix, RouteEntry>& routes,
+                            const std::vector<Prefix>& candidates, Rng& rng) {
+  RouteTable fresh;
+  std::vector<Prefix> inside = candidates;
+  for (const auto& [prefix, entry] : routes) {
+    fresh.AddRoute(prefix, entry);
+    inside.push_back(prefix);
+  }
+  std::vector<uint32_t> probes;
+  for (const Prefix& prefix : inside) {
+    probes.push_back(prefix.addr | (static_cast<uint32_t>(rng.Next()) & ~prefix.Mask()));
+  }
+  for (int i = 0; i < 64; ++i) {
+    probes.push_back(static_cast<uint32_t>(rng.Next()));
+  }
+  for (uint32_t ip : probes) {
+    const auto got = table.Lookup(ip);
+    const auto want = fresh.Lookup(ip);
+    ASSERT_EQ(got.entry.has_value(), want.entry.has_value()) << Ipv4ToString(ip);
+    if (got.entry) {
+      EXPECT_EQ(got.entry->out_port, want.entry->out_port) << Ipv4ToString(ip);
+      EXPECT_EQ(got.entry->next_hop_mac, want.entry->next_hop_mac) << Ipv4ToString(ip);
+    }
+    EXPECT_EQ(got.memory_accesses, want.memory_accesses) << Ipv4ToString(ip);
+  }
+  EXPECT_EQ(table.trie().node_count(), fresh.trie().node_count());
+  EXPECT_EQ(table.trie().MemoryBytes(), fresh.trie().MemoryBytes());
+  EXPECT_EQ(table.size(), routes.size());
+}
+
+TEST(RouteTable, WithdrawInPlaceMatchesFreshBuild) {
+  Rng rng(0x5eed);
+  // Candidates of every length over two /16s, a handful of /24s and a few
+  // host bytes, so prefixes nest and share nodes at every level.
+  std::vector<Prefix> candidates;
+  for (int i = 0; i < 400; ++i) {
+    uint32_t addr = 0x0a010000u + (static_cast<uint32_t>(rng.Uniform(2)) << 16);
+    addr += static_cast<uint32_t>(rng.Uniform(4)) << 8;
+    addr += static_cast<uint32_t>(rng.Uniform(8)) * 32;
+    candidates.push_back(Prefix::Make(addr, static_cast<uint8_t>(rng.Range(0, 32))));
+  }
+  RouteTable table;
+  std::map<Prefix, RouteEntry> routes;
+  for (int step = 1; step <= 3000; ++step) {
+    const Prefix p = candidates[rng.Uniform(candidates.size())];
+    const uint8_t port = static_cast<uint8_t>(rng.Uniform(8));
+    if (routes.count(p) != 0 && rng.Chance(0.5)) {
+      const uint64_t epoch = table.epoch();
+      ASSERT_TRUE(table.RemoveRoute(p));
+      EXPECT_EQ(table.epoch(), epoch + 1);
+      routes.erase(p);
+    } else {
+      table.AddRoute(p, RouteEntry{port, PortMac(port)});  // add or replace
+      routes[p] = RouteEntry{port, PortMac(port)};
+    }
+    if (step % 100 == 0) {
+      ExpectEqualsFreshBuild(table, routes, candidates, rng);
+    }
+  }
+
+  // Withdrawing and re-adding one prefix reuses its nodes and entry slot.
+  const Prefix flap = *Prefix::Parse("10.9.8.4/30");
+  table.AddRoute(flap, RouteEntry{1, PortMac(1)});
+  const size_t nodes = table.trie().allocated_nodes();
+  const size_t live_nodes = table.trie().node_count();
+  const size_t entries = table.entry_slots();
+  for (int cycle = 0; cycle < 1000; ++cycle) {
+    ASSERT_TRUE(table.RemoveRoute(flap));
+    table.AddRoute(flap, RouteEntry{1, PortMac(1)});
+    ASSERT_EQ(table.trie().allocated_nodes(), nodes);
+    ASSERT_EQ(table.trie().node_count(), live_nodes);
+    ASSERT_EQ(table.entry_slots(), entries);
+  }
+  routes[flap] = RouteEntry{1, PortMac(1)};
+  ExpectEqualsFreshBuild(table, routes, candidates, rng);
 }
 
 // --- RouteCache ---
