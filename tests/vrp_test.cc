@@ -206,6 +206,12 @@ struct AluCase {
   uint32_t a, b, expect;
 };
 
+// Without a printer gtest dumps the raw bytes, which hold the address of `op`
+// and so change on every run; ctest's discovered test names carry that dump.
+void PrintTo(const AluCase& c, std::ostream* os) {
+  *os << c.op << "(" << c.a << ", " << c.b << ") = " << c.expect;
+}
+
 class AluSemantics : public InterpreterTest, public ::testing::WithParamInterface<AluCase> {};
 
 TEST_P(AluSemantics, BinaryOp) {
