@@ -4,7 +4,9 @@
 // the control plane's ReconvergenceRecords), the survivors' aggregate rate
 // after a permanent node crash vs their fault-free baseline, and whether
 // cluster-wide invariants (per-node conservation, fabric accounting, no
-// blackholes) hold at the end of every scenario. Rows land in
+// blackholes) hold at the end of every scenario. Every scenario runs on
+// one thread; the chaos scenario runs again at `--threads=N` (default 4)
+// and must reproduce the one-thread run bit for bit. Rows land in
 // BENCH_cluster_failover.json for ci/cluster_smoke.sh.
 
 #include <chrono>
@@ -39,33 +41,74 @@ struct ScenarioResult {
   uint64_t suspects = 0;
   bool invariants_ok = false;
   std::string report;
+  double wall_s = 0;
+  std::string fingerprint;  // must match across thread counts
 };
 
 struct Scenario {
   int planes = 1;
   FaultPlan plan;  // per-node seeds are derived inside ClusterRouter
-  bool attach_health = true;
   // Direct fault application at a fixed time (empty for injector-driven).
   std::function<void(ClusterControlPlane&, EventQueue&)> faults;
   double disarm_at_ms = 0;  // >0: disarm every injector at this time
 };
 
-ScenarioResult Run(const Scenario& sc, uint64_t seed) {
+// 141 Kpps into one source node's external port 0, half the destinations
+// behind other nodes — the cluster_scale §6 workload. The pump lives on its
+// node's shard and draws from a per-node derived stream, so the workload is
+// identical for every thread count.
+struct NodePump {
+  ClusterRouter* cluster;
+  int node;
+  Rng rng;
+  SimTime gap;
+  SimTime stop_at;
+
+  void Tick() {
+    EventQueue& eng = cluster->node_engine(node);
+    if (eng.now() > stop_at) {
+      return;
+    }
+    int g;
+    if (rng.Chance(0.5)) {
+      int other;
+      do {
+        other = static_cast<int>(rng.Uniform(static_cast<uint64_t>(cluster->num_nodes())));
+      } while (other == node);
+      g = other * cluster->external_ports_per_node() +
+          static_cast<int>(
+              rng.Uniform(static_cast<uint64_t>(cluster->external_ports_per_node())));
+    } else {
+      g = node * cluster->external_ports_per_node() + 1 +
+          static_cast<int>(
+              rng.Uniform(static_cast<uint64_t>(cluster->external_ports_per_node() - 1)));
+    }
+    PacketSpec spec;
+    spec.dst_ip = cluster->ExternalDstIp(g, static_cast<uint16_t>(1 + rng.Uniform(16)));
+    // Source inside the node's own port-0 prefix, so shed traffic's ICMP
+    // unreachables have a route back to the offender.
+    spec.src_ip = cluster->ExternalDstIp(node * cluster->external_ports_per_node(),
+                                         static_cast<uint16_t>(200 + node));
+    cluster->node(node).port(0).InjectFromWire(BuildPacket(spec));
+    eng.ScheduleIn(gap, [this] { Tick(); });
+  }
+};
+
+ScenarioResult Run(const Scenario& sc, uint64_t seed, int threads) {
   ClusterConfig cfg;
   cfg.nodes = kNodes;
   cfg.internal_links = sc.planes;
+  cfg.threads = threads;
   cfg.node_config.fault_plan = sc.plan;
   cfg.node_config.fault_plan.seed = seed;
   ClusterRouter cluster(std::move(cfg));
   ClusterControlPlane control(cluster);
   control.Start();
-  std::unique_ptr<ClusterHealthMonitor> health;
-  if (sc.attach_health) {
-    health = std::make_unique<ClusterHealthMonitor>(cluster, control);
-  }
+  ClusterHealthMonitor health(cluster, control);
   cluster.Start();
 
-  // Deliveries by destination node; snapshot at the measure boundary.
+  // Deliveries by destination node, each written only by that node's shard;
+  // the hub snapshots them at the measure boundary.
   std::vector<uint64_t> delivered(kNodes, 0);
   std::vector<uint64_t> at_boundary(kNodes, 0);
   for (int k = 0; k < cluster.num_nodes(); ++k) {
@@ -75,7 +118,7 @@ ScenarioResult Run(const Scenario& sc, uint64_t seed) {
         // accounted separately via icmp_originated.
         auto ip = Ipv4Header::Parse(packet.l3());
         if (ip && ip->protocol != kIpProtoIcmp) {
-          ++delivered[k];
+          ++delivered[static_cast<size_t>(k)];
         }
       });
     }
@@ -83,42 +126,18 @@ ScenarioResult Run(const Scenario& sc, uint64_t seed) {
   cluster.engine().ScheduleIn(static_cast<SimTime>(kMeasureFromMs * kPsPerMs),
                               [&] { at_boundary = delivered; });
 
-  // 141 Kpps per source node (nodes 0..2; the victim is egress-only), half
-  // the destinations behind other nodes — the cluster_scale §6 workload.
-  Rng rng(seed ^ 0x7ea5u);
   const SimTime gap = static_cast<SimTime>(kPsPerSec / 141'000);
   const SimTime stop_at = static_cast<SimTime>((kRunMs - 1.0) * kPsPerMs);
-  std::function<void(int)> pump = [&](int node) {
-    if (cluster.engine().now() > stop_at) {
-      return;
-    }
-    int g;
-    if (rng.Chance(0.5)) {
-      int other;
-      do {
-        other = static_cast<int>(rng.Uniform(static_cast<uint64_t>(cluster.num_nodes())));
-      } while (other == node);
-      g = other * cluster.external_ports_per_node() +
-          static_cast<int>(
-              rng.Uniform(static_cast<uint64_t>(cluster.external_ports_per_node())));
-    } else {
-      g = node * cluster.external_ports_per_node() + 1 +
-          static_cast<int>(
-              rng.Uniform(static_cast<uint64_t>(cluster.external_ports_per_node() - 1)));
-    }
-    PacketSpec spec;
-    spec.dst_ip = cluster.ExternalDstIp(g, static_cast<uint16_t>(1 + rng.Uniform(16)));
-    // Source inside the node's own port-0 prefix, so shed traffic's ICMP
-    // unreachables have a route back to the offender.
-    spec.src_ip = cluster.ExternalDstIp(node * cluster.external_ports_per_node(),
-                                        static_cast<uint16_t>(200 + node));
-    cluster.node(node).port(0).InjectFromWire(BuildPacket(spec));
-    cluster.engine().ScheduleIn(gap, [&pump, node] { pump(node); });
-  };
+  std::vector<std::unique_ptr<NodePump>> pumps;
   for (int k = 0; k < kNodes; ++k) {
-    if (k != kVictim) {
-      pump(k);
+    if (k == kVictim) {
+      continue;
     }
+    pumps.push_back(std::unique_ptr<NodePump>(new NodePump{
+        &cluster, k, Rng(FaultPlan::DeriveNodeSeed(seed ^ 0x7ea5u, k)), gap, stop_at}));
+  }
+  for (auto& pump : pumps) {
+    pump->Tick();
   }
 
   if (sc.faults) {
@@ -134,10 +153,12 @@ ScenarioResult Run(const Scenario& sc, uint64_t seed) {
     });
   }
 
+  const auto t0 = std::chrono::steady_clock::now();
   cluster.RunForMs(kRunMs);
-  bench::RecordEvents(cluster.engine().events_run());
-
   ScenarioResult r;
+  r.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  bench::RecordEvents(cluster.TotalEventsRun());
+
   for (int k = 0; k < kNodes; ++k) {
     const uint64_t window = delivered[static_cast<size_t>(k)] - at_boundary[static_cast<size_t>(k)];
     if (k == kVictim) {
@@ -154,126 +175,10 @@ ScenarioResult Run(const Scenario& sc, uint64_t seed) {
   for (const ReconvergenceRecord& rec : r.records) {
     r.open_records += rec.closed() ? 0 : 1;
   }
-  if (health != nullptr) {
-    r.suspects = health->suspects_raised();
-  }
+  r.suspects = health.suspects_raised();
   const InvariantReport inv = RouterInvariants::CheckCluster(cluster);
   r.invariants_ok = inv.ok();
   r.report = inv.ToString();
-  return r;
-}
-
-// --- sharded chaos (docs/perf.md, "Sharded cluster simulation") ---
-//
-// The chaos scenario again, but on the sharded engine: 2 µs fabric
-// latency, per-node pumps on their own shards (per-node derived seeds, so
-// the workload is interleaving-independent), control plane + federated
-// health on the hub. Run at t=1 and t=N; the runs must be bit-identical.
-
-struct ShardedChaosRun {
-  double wall_s = 0;
-  bool invariants_ok = false;
-  std::string report;
-  uint64_t open_records = 0;
-  std::string fingerprint;
-};
-
-ShardedChaosRun RunShardedChaos(int threads, uint64_t seed) {
-  ClusterConfig cfg;
-  cfg.nodes = kNodes;
-  cfg.internal_links = 2;
-  cfg.node_config.fault_plan = FaultPlan::ClusterChaos(seed);
-  cfg.node_config.fault_plan.seed = seed;
-  cfg.fabric_latency_ps = 2 * kPsPerUs;
-  cfg.threads = threads;
-  ClusterRouter cluster(std::move(cfg));
-  ClusterControlPlane control(cluster);
-  control.Start();
-  ClusterHealthMonitor health(cluster, control);
-  cluster.Start();
-
-  // Per-destination-node counters, each written only by that node's shard.
-  std::vector<uint64_t> delivered(kNodes, 0);
-  for (int k = 0; k < cluster.num_nodes(); ++k) {
-    for (int p = 0; p < cluster.external_ports_per_node(); ++p) {
-      cluster.node(k).port(p).SetSink([&delivered, k](Packet&& packet) {
-        auto ip = Ipv4Header::Parse(packet.l3());
-        if (ip && ip->protocol != kIpProtoIcmp) {
-          ++delivered[static_cast<size_t>(k)];
-        }
-      });
-    }
-  }
-
-  struct Pump {
-    ClusterRouter* cluster;
-    int node;
-    Rng rng;
-    SimTime gap;
-    SimTime stop_at;
-    void Tick() {
-      EventQueue& eng = cluster->node_engine(node);
-      if (eng.now() > stop_at) {
-        return;
-      }
-      int g;
-      if (rng.Chance(0.5)) {
-        int other;
-        do {
-          other = static_cast<int>(rng.Uniform(static_cast<uint64_t>(cluster->num_nodes())));
-        } while (other == node);
-        g = other * cluster->external_ports_per_node() +
-            static_cast<int>(
-                rng.Uniform(static_cast<uint64_t>(cluster->external_ports_per_node())));
-      } else {
-        g = node * cluster->external_ports_per_node() + 1 +
-            static_cast<int>(
-                rng.Uniform(static_cast<uint64_t>(cluster->external_ports_per_node() - 1)));
-      }
-      PacketSpec spec;
-      spec.dst_ip = cluster->ExternalDstIp(g, static_cast<uint16_t>(1 + rng.Uniform(16)));
-      spec.src_ip = cluster->ExternalDstIp(node * cluster->external_ports_per_node(),
-                                           static_cast<uint16_t>(200 + node));
-      cluster->node(node).port(0).InjectFromWire(BuildPacket(spec));
-      eng.ScheduleIn(gap, [this] { Tick(); });
-    }
-  };
-  const SimTime gap = static_cast<SimTime>(kPsPerSec / 141'000);
-  const SimTime stop_at = static_cast<SimTime>((kRunMs - 1.0) * kPsPerMs);
-  std::vector<std::unique_ptr<Pump>> pumps;
-  for (int k = 0; k < kNodes; ++k) {
-    if (k == kVictim) {
-      continue;
-    }
-    pumps.push_back(std::unique_ptr<Pump>(new Pump{
-        &cluster, k, Rng(FaultPlan::DeriveNodeSeed(seed ^ 0x7ea5u, k)), gap, stop_at}));
-  }
-  for (auto& pump : pumps) {
-    pump->Tick();
-  }
-
-  cluster.engine().ScheduleIn(12 * kPsPerMs, [&] {
-    for (int k = 0; k < cluster.num_nodes(); ++k) {
-      if (FaultInjector* fi = cluster.node(k).fault_injector()) {
-        fi->set_armed(false);
-      }
-    }
-  });
-
-  const auto t0 = std::chrono::steady_clock::now();
-  cluster.RunForMs(kRunMs);
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  bench::RecordEvents(cluster.TotalEventsRun());
-
-  ShardedChaosRun run;
-  run.wall_s = wall;
-  const InvariantReport inv = RouterInvariants::CheckCluster(cluster);
-  run.invariants_ok = inv.ok();
-  run.report = inv.ToString();
-  for (const ReconvergenceRecord& rec : control.records()) {
-    run.open_records += rec.closed() ? 0 : 1;
-  }
 
   // Everything a reordering bug could perturb: deliveries, per-node stats,
   // the control plane's full record list, health counters, event totals.
@@ -284,15 +189,15 @@ ShardedChaosRun RunShardedChaos(int threads, uint64_t seed) {
        << ",fwd=" << stats.forwarded << ",icmp=" << stats.icmp_originated
        << ",wd=" << stats.routes_withdrawn << ",spf=" << stats.spf_recomputes << ";";
   }
-  for (const ReconvergenceRecord& rec : control.records()) {
+  for (const ReconvergenceRecord& rec : r.records) {
     fp << "rec(" << static_cast<int>(rec.kind) << "," << rec.node << "," << rec.fault_at
        << "," << rec.detected_at << "," << rec.reconverged_at << ");";
   }
   fp << "susp=" << health.suspects_raised() << ",acked=" << health.probes_acked()
      << ",failed=" << health.probes_failed() << ",ev=" << cluster.TotalEventsRun()
      << ",now=" << cluster.now();
-  run.fingerprint = fp.str();
-  return run;
+  r.fingerprint = fp.str();
+  return r;
 }
 
 struct KindStats {
@@ -355,7 +260,7 @@ int main(int argc, char** argv) {
   // Fault-free baseline: the survivors' aggregate delivery over the measure
   // window, for the post-crash ratio.
   Scenario base;
-  const ScenarioResult baseline = Run(base, seed);
+  const ScenarioResult baseline = Run(base, seed, 1);
   check("baseline", baseline);
   if (!baseline.records.empty()) {
     all_ok = false;
@@ -369,7 +274,7 @@ int main(int argc, char** argv) {
     engine.ScheduleIn(6 * kPsPerMs,
                       [&control] { control.ApplyNodeCrash(kVictim, FaultInjector::kForever); });
   };
-  const ScenarioResult crashed = Run(crash, seed);
+  const ScenarioResult crashed = Run(crash, seed, 1);
   check("node-crash", crashed);
   const KindStats node_down = StatsFor(crashed, ReconvergenceRecord::Kind::kNodeDown);
   bench::Row("cluster: node-crash MTTD", 300.0, node_down.mttd_us, "us");
@@ -395,7 +300,7 @@ int main(int argc, char** argv) {
     engine.ScheduleIn(6 * kPsPerMs,
                       [&control] { control.ApplyLinkDown(kVictim, 0, 8 * kPsPerMs); });
   };
-  const ScenarioResult linkdown = Run(link, seed);
+  const ScenarioResult linkdown = Run(link, seed, 1);
   check("link-down", linkdown);
   const KindStats link_stats = StatsFor(linkdown, ReconvergenceRecord::Kind::kLinkDown);
   bench::Row("cluster: link-down MTTD", 450.0, link_stats.mttd_us, "us");
@@ -415,7 +320,7 @@ int main(int argc, char** argv) {
     engine.ScheduleIn(4 * kPsPerMs,
                       [&control] { control.ApplyNodeCrash(kVictim, 3 * kPsPerMs); });
   };
-  const ScenarioResult readmitted = Run(readmit, seed);
+  const ScenarioResult readmitted = Run(readmit, seed, 1);
   check("readmit", readmitted);
   const KindStats readmit_stats = StatsFor(readmitted, ReconvergenceRecord::Kind::kNodeReadmit);
   bench::Row("cluster: readmit MTTR", 300.0, readmit_stats.mttr_us, "us");
@@ -425,7 +330,7 @@ int main(int argc, char** argv) {
   // flap adjacencies or break accounting.
   Scenario loss;
   loss.plan.fabric_loss_p = 0.005;
-  const ScenarioResult lossy = Run(loss, seed);
+  const ScenarioResult lossy = Run(loss, seed, 1);
   check("fabric-loss", lossy);
   const uint64_t base_total = baseline.survivor_delivered + baseline.victim_delivered;
   const uint64_t lossy_total = lossy.survivor_delivered + lossy.victim_delivered;
@@ -435,12 +340,16 @@ int main(int argc, char** argv) {
   all_ok = all_ok && lossy.records.empty();
 
   // Injector-driven chaos: every cluster fault class drawn from the derived
-  // per-node streams, disarmed mid-run so the tail is pure recovery.
+  // per-node streams, disarmed mid-run so the tail is pure recovery. Run at
+  // t=1 and t=N: the two must produce bit-identical fingerprints (traffic,
+  // stats, reconvergence records, health counters) — a reordering bug
+  // anywhere in the window barrier shows up here as a divergence, and fails
+  // the bench.
   Scenario chaos;
   chaos.planes = 2;
   chaos.plan = FaultPlan::ClusterChaos(seed);
   chaos.disarm_at_ms = 12.0;
-  const ScenarioResult chaotic = Run(chaos, seed);
+  const ScenarioResult chaotic = Run(chaos, seed, 1);
   check("chaos", chaotic);
   bench::Row("cluster: chaos open records at end", 0.0,
              static_cast<double>(chaotic.open_records), "rec");
@@ -450,35 +359,22 @@ int main(int argc, char** argv) {
       chaotic.records.size(), chaotic.spf_recomputes, chaotic.routes_withdrawn,
       chaotic.icmp_originated);
 
-  // Sharded chaos: the same fault classes on the parallel engine. The t=1
-  // and t=N runs must produce bit-identical fingerprints (traffic, stats,
-  // reconvergence records, health counters) — a reordering bug anywhere in
-  // the window barrier shows up here as a divergence, and fails the bench.
-  const ShardedChaosRun seq = RunShardedChaos(1, seed);
-  const ShardedChaosRun par = RunShardedChaos(sharded_threads, seed);
-  const bool sharded_deterministic = seq.fingerprint == par.fingerprint;
-  if (!seq.invariants_ok) {
-    all_ok = false;
-    std::printf("  sharded chaos t=1 invariants FAIL: %s\n", seq.report.c_str());
-  }
-  if (!par.invariants_ok) {
-    all_ok = false;
-    std::printf("  sharded chaos t=%d invariants FAIL: %s\n", sharded_threads,
-                par.report.c_str());
-  }
+  const ScenarioResult parallel = Run(chaos, seed, sharded_threads);
+  check("chaos (parallel)", parallel);
+  const bool sharded_deterministic = chaotic.fingerprint == parallel.fingerprint;
   if (!sharded_deterministic) {
     all_ok = false;
     std::printf("  sharded chaos DIVERGENCE:\n    t=1: %s\n    t=%d: %s\n",
-                seq.fingerprint.c_str(), sharded_threads, par.fingerprint.c_str());
+                chaotic.fingerprint.c_str(), sharded_threads, parallel.fingerprint.c_str());
   }
-  all_ok = all_ok && seq.open_records == 0 && par.open_records == 0;
-  bench::Row("cluster: sharded chaos wall t=1", 0.0, seq.wall_s, "s");
+  all_ok = all_ok && chaotic.open_records == 0 && parallel.open_records == 0;
+  bench::Row("cluster: sharded chaos wall t=1", 0.0, chaotic.wall_s, "s");
   char sharded_label[64];
   std::snprintf(sharded_label, sizeof(sharded_label), "cluster: sharded chaos wall t=%d",
                 sharded_threads);
-  bench::Row(sharded_label, 0.0, par.wall_s, "s");
+  bench::Row(sharded_label, 0.0, parallel.wall_s, "s");
   bench::Row("cluster: sharded chaos speedup", 0.0,
-             par.wall_s > 0 ? seq.wall_s / par.wall_s : 0.0, "x");
+             parallel.wall_s > 0 ? chaotic.wall_s / parallel.wall_s : 0.0, "x");
   bench::Row("cluster: sharded chaos deterministic", 1.0,
              sharded_deterministic ? 1.0 : 0.0, "bool");
 

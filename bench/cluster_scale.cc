@@ -3,12 +3,13 @@
 // the remote-traffic share grows — the paper's stated concern being that
 // the internal link consumes RI capacity that would otherwise feed the VRP.
 //
-// A second section runs an 8-node cluster through the sharded engine
-// (ClusterConfig::fabric_latency_ps > 0, docs/perf.md) at several thread
-// counts: same workload per thread count, wall-clock and speedup rows, and
-// a fingerprint check that every run is bit-identical. `--threads=N` caps
-// the thread ladder (default 8); ci/perf_smoke.sh holds the speedup row to
-// a floor when the host has enough cores.
+// A second section runs an 8-node cluster at several thread counts: same
+// workload per thread count, wall-clock and speedup rows, and a fingerprint
+// check that every run is bit-identical. Both sections use one runner (one
+// engine per node, 2 µs fabric latency; docs/perf.md, "Sharded cluster
+// simulation"). `--threads=N` caps the thread ladder (default 8);
+// ci/perf_smoke.sh holds the speedup row to a floor when the host has
+// enough cores.
 
 #include <chrono>
 #include <cstdlib>
@@ -23,93 +24,10 @@
 namespace npr {
 namespace {
 
-struct Point {
-  double remote_fraction;
-  double goodput_kpps;
-  uint64_t fabric_frames;
-  uint64_t drops;
-};
-
-Point RunCluster(double remote_fraction) {
-  ClusterConfig cfg;
-  cfg.nodes = 4;
-  ClusterRouter cluster(std::move(cfg));
-  cluster.InstallClusterRoutes();
-
-  uint64_t delivered = 0;
-  for (int k = 0; k < cluster.num_nodes(); ++k) {
-    for (int p = 0; p < cluster.external_ports_per_node(); ++p) {
-      cluster.node(k).port(p).SetSink([&delivered](Packet&&) { ++delivered; });
-    }
-  }
-  cluster.Start();
-
-  // Each node's port 0 takes 141 Kpps; `remote_fraction` of destinations
-  // live behind other nodes.
-  Rng rng(7);
-  struct Source {
-    int node;
-    uint64_t sent = 0;
-  };
-  std::vector<Source> sources;
-  for (int k = 0; k < cluster.num_nodes(); ++k) {
-    sources.push_back({k});
-  }
-  const SimTime gap = static_cast<SimTime>(kPsPerSec / 141'000);
-  std::function<void(size_t)> pump = [&](size_t i) {
-    Source& src = sources[i];
-    if (cluster.engine().now() > 24 * kPsPerMs) {
-      return;
-    }
-    // Pick a local or remote external prefix.
-    int g;
-    if (rng.Chance(remote_fraction)) {
-      int other;
-      do {
-        other = static_cast<int>(rng.Uniform(static_cast<uint64_t>(cluster.num_nodes())));
-      } while (other == src.node);
-      g = other * cluster.external_ports_per_node() +
-          static_cast<int>(rng.Uniform(static_cast<uint64_t>(cluster.external_ports_per_node())));
-    } else {
-      g = src.node * cluster.external_ports_per_node() + 1 +
-          static_cast<int>(
-              rng.Uniform(static_cast<uint64_t>(cluster.external_ports_per_node() - 1)));
-    }
-    PacketSpec spec;
-    spec.dst_ip = cluster.ExternalDstIp(g, static_cast<uint16_t>(1 + rng.Uniform(16)));
-    spec.src_ip = SrcIpForPort(static_cast<uint8_t>(src.node), 1);
-    cluster.node(src.node).port(0).InjectFromWire(BuildPacket(spec));
-    ++src.sent;
-    cluster.engine().ScheduleIn(gap, [&pump, i] { pump(i); });
-  };
-  for (size_t i = 0; i < sources.size(); ++i) {
-    pump(i);
-  }
-
-  cluster.RunForMs(4.0);
-  cluster.StartMeasurement();
-  const uint64_t delivered_before = delivered;
-  const SimTime t0 = cluster.engine().now();
-  cluster.RunForMs(20.0);
-
-  Point point;
-  point.remote_fraction = remote_fraction;
-  const double seconds =
-      static_cast<double>(cluster.engine().now() - t0) / static_cast<double>(kPsPerSec);
-  point.goodput_kpps = static_cast<double>(delivered - delivered_before) / seconds / 1e3;
-  point.fabric_frames = cluster.fabric().forwarded();
-  point.drops = cluster.TotalDrops();
-  bench::RecordEvents(cluster.engine().events_run());
-  return point;
-}
-
-// --- sharded mode ---
-
 // One traffic source per node, living on that node's shard and drawing
-// from a per-node derived stream. (The legacy section's single shared Rng
-// would be a data race under threads > 1, and its draw order would depend
-// on the interleaving; per-node streams make the workload identical for
-// every thread count.)
+// from a per-node derived stream, so the workload is identical for every
+// thread count (a shared Rng would be a data race under threads > 1, and
+// its draw order would depend on the interleaving).
 struct NodePump {
   ClusterRouter* cluster = nullptr;
   int node = 0;
@@ -147,20 +65,20 @@ struct NodePump {
   }
 };
 
-struct ShardedRun {
+struct ClusterRun {
   double wall_s = 0;
   double goodput_kpps = 0;
+  uint64_t fabric_frames = 0;
+  uint64_t drops = 0;
   std::string fingerprint;  // must match across thread counts
 };
 
-ShardedRun RunSharded(int nodes, int threads, double remote_fraction) {
-  constexpr double kWarmMs = 2.0;
-  constexpr double kMeasureMs = 8.0;
+ClusterRun Run(int nodes, int threads, double remote_fraction, double warm_ms,
+               double measure_ms) {
   constexpr uint64_t kSeed = 0x5ca1edULL;
 
   ClusterConfig cfg;
   cfg.nodes = nodes;
-  cfg.fabric_latency_ps = 2 * kPsPerUs;  // store-and-forward gigabit switch
   cfg.threads = threads;
   ClusterRouter cluster(std::move(cfg));
   cluster.InstallClusterRoutes();
@@ -177,7 +95,7 @@ ShardedRun RunSharded(int nodes, int threads, double remote_fraction) {
   cluster.Start();
 
   const SimTime gap = static_cast<SimTime>(kPsPerSec / 141'000);
-  const SimTime stop_at = static_cast<SimTime>((kWarmMs + kMeasureMs) * kPsPerMs);
+  const SimTime stop_at = static_cast<SimTime>((warm_ms + measure_ms) * kPsPerMs);
   std::vector<std::unique_ptr<NodePump>> pumps;
   for (int k = 0; k < nodes; ++k) {
     auto pump = std::make_unique<NodePump>();
@@ -193,21 +111,23 @@ ShardedRun RunSharded(int nodes, int threads, double remote_fraction) {
     pump->Tick();
   }
 
-  cluster.RunForMs(kWarmMs);
+  cluster.RunForMs(warm_ms);
   const std::vector<uint64_t> at_boundary = delivered;
   const auto t0 = std::chrono::steady_clock::now();
-  cluster.RunForMs(kMeasureMs);
+  cluster.RunForMs(measure_ms);
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   bench::RecordEvents(cluster.TotalEventsRun());
 
-  ShardedRun run;
+  ClusterRun run;
   run.wall_s = wall;
   uint64_t window = 0;
   for (int k = 0; k < nodes; ++k) {
     window += delivered[static_cast<size_t>(k)] - at_boundary[static_cast<size_t>(k)];
   }
-  run.goodput_kpps = static_cast<double>(window) / (kMeasureMs / 1e3) / 1e3;
+  run.goodput_kpps = static_cast<double>(window) / (measure_ms / 1e3) / 1e3;
+  run.fabric_frames = cluster.fabric().forwarded();
+  run.drops = cluster.TotalDrops();
 
   // Everything that could diverge under a reordering bug: per-node
   // deliveries and injections, fabric accounting, the global event count,
@@ -218,7 +138,7 @@ ShardedRun RunSharded(int nodes, int threads, double remote_fraction) {
        << ",s=" << pumps[static_cast<size_t>(k)]->sent
        << ",fwd=" << cluster.node(k).stats().forwarded << ";";
   }
-  fp << "fab=" << cluster.fabric().forwarded() << ",drops=" << cluster.TotalDrops()
+  fp << "fab=" << run.fabric_frames << ",drops=" << run.drops
      << ",ev=" << cluster.TotalEventsRun() << ",now=" << cluster.now();
   run.fingerprint = fp.str();
   return run;
@@ -235,17 +155,17 @@ int main(int argc, char** argv) {
   std::printf("%14s %16s %16s %10s\n", "remote share", "goodput (Kpps)", "fabric frames",
               "drops");
   for (double f : {0.0, 0.25, 0.5, 0.75, 1.0}) {
-    const auto p = RunCluster(f);
-    std::printf("%14.2f %16.1f %16llu %10llu\n", p.remote_fraction, p.goodput_kpps,
-                static_cast<unsigned long long>(p.fabric_frames),
-                static_cast<unsigned long long>(p.drops));
+    const ClusterRun run = Run(4, 1, f, /*warm_ms=*/4.0, /*measure_ms=*/20.0);
+    std::printf("%14.2f %16.1f %16llu %10llu\n", f, run.goodput_kpps,
+                static_cast<unsigned long long>(run.fabric_frames),
+                static_cast<unsigned long long>(run.drops));
   }
   Note("offered aggregate is 564 Kpps of 64 B packets; remote packets cross the");
   Note("gigabit fabric and are forwarded at both the ingress and egress node,");
   Note("doubling their pipeline cost — goodput should hold with zero drops, the");
   Note("paper's premise for the multi-chassis design (§6).");
 
-  // --- sharded engine: 8 nodes, 2 µs fabric, thread ladder ---
+  // --- 8 nodes, 2 µs fabric, thread ladder ---
   int max_threads = 8;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--threads=", 10) == 0) {
@@ -272,7 +192,7 @@ int main(int argc, char** argv) {
   double wall_last = 0;
   std::string fingerprint_t1;
   for (int t : ladder) {
-    const ShardedRun run = RunSharded(8, t, 0.5);
+    const ClusterRun run = Run(8, t, 0.5, /*warm_ms=*/2.0, /*measure_ms=*/8.0);
     if (t == 1) {
       wall_t1 = run.wall_s;
       fingerprint_t1 = run.fingerprint;

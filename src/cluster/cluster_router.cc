@@ -23,7 +23,6 @@ MacAddr ClusterControlMac(int node, int plane) {
 void SwitchFabric::Attach(const MacAddr& mac, MacPort& port) {
   members_[mac] = &port;
   member_stats_[mac];
-  port.SetSink([this, mac](Packet&& packet) { Deliver(mac, std::move(packet)); });
 }
 
 void SwitchFabric::AttachControlSink(const MacAddr& mac, std::function<void(Packet&&)> sink) {
@@ -31,16 +30,12 @@ void SwitchFabric::AttachControlSink(const MacAddr& mac, std::function<void(Pack
   member_stats_[mac];
 }
 
-void SwitchFabric::SendFrom(const MacAddr& src_mac, Packet&& packet) {
-  Deliver(src_mac, std::move(packet));
-}
-
 SwitchFabric::MemberStats SwitchFabric::member_stats(const MacAddr& mac) const {
   auto it = member_stats_.find(mac);
   return it == member_stats_.end() ? MemberStats{} : it->second;
 }
 
-void SwitchFabric::Deliver(const MacAddr& src_mac, Packet&& packet) {
+void SwitchFabric::SendFrom(const MacAddr& src_mac, Packet&& packet) {
   MemberStats& stats = member_stats_[src_mac];
   auto eth = EthernetHeader::Parse(packet.bytes());
   if (!eth) {
@@ -79,17 +74,13 @@ void SwitchFabric::Deliver(const MacAddr& src_mac, Packet&& packet) {
   ++forwarded_;
   ++stats.forwarded;
   if (member != members_.end()) {
+    // The destination port lives on its node's shard, which sits at (or
+    // before) the hub's clock — hand the frame to its engine instead of
+    // touching the port from here.
     MacPort* port = member->second;
-    if (hub_ != nullptr) {
-      // Sharded: the destination port lives on another shard, which sits at
-      // (or before) the hub's clock — hand the frame to its engine instead
-      // of touching the port from here.
-      port->engine().Schedule(hub_->now(), [port, p = std::move(packet)]() mutable {
-        port->InjectFromWire(std::move(p));
-      });
-    } else {
-      port->InjectFromWire(std::move(packet));
-    }
+    port->engine().Schedule(hub_.now(), [port, p = std::move(packet)]() mutable {
+      port->InjectFromWire(std::move(p));
+    });
   } else {
     control->second(std::move(packet));
   }
@@ -112,7 +103,7 @@ ClusterRouter::ClusterRouter(ClusterConfig config) : config_(std::move(config)) 
 
   planes_.reserve(static_cast<size_t>(config_.internal_links));
   for (int plane = 0; plane < config_.internal_links; ++plane) {
-    planes_.push_back(std::make_unique<SwitchFabric>());
+    planes_.push_back(std::make_unique<SwitchFabric>(engine_));
     planes_.back()->set_gate([this, plane](const MacAddr& src, const MacAddr& dst) {
       return GateFrame(plane, src, dst);
     });
@@ -121,20 +112,7 @@ ClusterRouter::ClusterRouter(ClusterConfig config) : config_(std::move(config)) 
   node_up_.assign(static_cast<size_t>(config_.nodes), true);
   link_up_.assign(static_cast<size_t>(config_.nodes * config_.internal_links), true);
 
-  if (sharded()) {
-    // One engine per node; the cluster's own engine_ becomes the hub. The
-    // fabric (gate verdicts, stats, control sinks) runs entirely on the hub,
-    // and member delivery is deferred onto the destination shard.
-    shard_engines_.reserve(static_cast<size_t>(config_.nodes));
-    for (int k = 0; k < config_.nodes; ++k) {
-      shard_engines_.push_back(std::make_unique<EventQueue>());
-    }
-    mailboxes_.resize(static_cast<size_t>(config_.nodes));
-    for (auto& plane : planes_) {
-      plane->set_deferred_delivery(&engine_);
-    }
-  }
-
+  mailboxes_.resize(static_cast<size_t>(config_.nodes));
   nodes_.reserve(static_cast<size_t>(config_.nodes));
   for (int k = 0; k < config_.nodes; ++k) {
     RouterConfig cfg_k = node_cfg;
@@ -143,39 +121,34 @@ ClusterRouter::ClusterRouter(ClusterConfig config) : config_(std::move(config)) 
       // function of (base seed, node); see FaultPlan::DeriveNodeSeed.
       cfg_k.fault_plan.seed = FaultPlan::DeriveNodeSeed(node_cfg.fault_plan.seed, k);
     }
-    nodes_.push_back(std::make_unique<Router>(cfg_k, node_engine(k)));
+    nodes_.push_back(std::make_unique<Router>(cfg_k));
     nodes_.back()->SetExceptionHandler(std::make_unique<FullIpForwarder>());
     for (int plane = 0; plane < config_.internal_links; ++plane) {
       MacPort& port = nodes_.back()->port(first_internal_port_ + plane);
       planes_[static_cast<size_t>(plane)]->Attach(ClusterNodeMac(k, plane), port);
-      if (sharded()) {
-        // Attach() wired the port's sink straight into the fabric; in
-        // sharded mode the transmit side runs on node k's shard, so the
-        // sink must only touch k-local state: it timestamps the frame with
-        // the fabric latency and parks it in k's mailbox. The barrier
-        // offers it to the fabric (on the hub) in deterministic order.
-        port.SetSink([this, k, plane](Packet&& packet) {
-          FabricMailbox& mb = mailboxes_[static_cast<size_t>(k)];
-          mb.entries.push_back(FabricMailbox::Entry{
-              node_engine(k).now() + config_.fabric_latency_ps, plane, mb.next_seq++,
-              std::move(packet)});
-        });
-      }
+      // The transmit side runs on node k's shard, so the sink must only
+      // touch k-local state: it timestamps the frame with the fabric latency
+      // and parks it in k's mailbox. The barrier offers it to the fabric (on
+      // the hub) in deterministic order.
+      port.SetSink([this, k, plane](Packet&& packet) {
+        FabricMailbox& mb = mailboxes_[static_cast<size_t>(k)];
+        mb.entries.push_back(FabricMailbox::Entry{
+            node_engine(k).now() + config_.fabric_latency_ps, plane, mb.next_seq++,
+            std::move(packet)});
+      });
     }
   }
 
-  if (sharded()) {
-    std::vector<EventQueue*> shards;
-    shards.reserve(shard_engines_.size());
-    for (auto& e : shard_engines_) {
-      shards.push_back(e.get());
-    }
-    const SimTime window =
-        config_.window_ps > 0 ? config_.window_ps : config_.fabric_latency_ps;
-    shard_group_ =
-        std::make_unique<ShardGroup>(&engine_, std::move(shards), window, config_.threads);
-    shard_group_->set_merge_hook([this](SimTime window_start) { MergeMailboxes(window_start); });
+  std::vector<EventQueue*> shards;
+  shards.reserve(nodes_.size());
+  for (auto& n : nodes_) {
+    shards.push_back(&n->engine());
   }
+  // A zero fabric latency leaves no lookahead: ShardGroup refuses the window.
+  const SimTime window = config_.window_ps > 0 ? config_.window_ps : config_.fabric_latency_ps;
+  shard_group_ =
+      std::make_unique<ShardGroup>(&engine_, std::move(shards), window, config_.threads);
+  shard_group_->set_merge_hook([this](SimTime window_start) { MergeMailboxes(window_start); });
 }
 
 void ClusterRouter::MergeMailboxes(SimTime window_start) {
@@ -233,12 +206,11 @@ void ClusterRouter::MergeMailboxes(SimTime window_start) {
 }
 
 ClusterRouter::~ClusterRouter() {
-  // Pending events (hub and shards) reference the member routers; drop them
-  // before the nodes (declared after the engines) are destroyed.
+  // Pending hub events reference the member routers; drop them before the
+  // nodes are destroyed. Each router then clears its own engine. Frames
+  // crossing between nodes are heap copies (MacPort hands its sink one), so
+  // no node's pending events hold another node's pooled buffers.
   engine_.Clear();
-  for (auto& e : shard_engines_) {
-    e->Clear();
-  }
 }
 
 FabricDrop ClusterRouter::GateFrame(int plane, const MacAddr& src, const MacAddr& dst) const {
@@ -337,35 +309,15 @@ void ClusterRouter::Start() {
 }
 
 void ClusterRouter::StartMeasurement() {
-  window_start_ = engine_.now();
   for (auto& n : nodes_) {
     n->StartMeasurement();
   }
-}
-
-uint64_t ClusterRouter::TotalForwarded() const {
-  // Note: a cross-node packet is forwarded once at each hop, so this counts
-  // it twice — it measures pipeline work, not external goodput (benches
-  // measure goodput at their sinks).
-  uint64_t total = 0;
-  for (const auto& n : nodes_) {
-    total += n->stats().forwarded;
-  }
-  return total;
 }
 
 uint64_t ClusterRouter::TotalDrops() const {
   uint64_t total = 0;
   for (const auto& n : nodes_) {
     total += n->stats().dropped_queue_full + n->stats().lost_overwritten;
-  }
-  return total;
-}
-
-double ClusterRouter::AggregateRateMpps() const {
-  double total = 0;
-  for (const auto& n : nodes_) {
-    total += n->ForwardingRateMpps();
   }
   return total;
 }

@@ -20,13 +20,13 @@
 // state is modelled at the fabric boundary: frames crossing a down link or
 // addressed to/from a dead node are dropped there and counted per member.
 //
-// With ClusterConfig::fabric_latency_ps > 0 the cluster runs *sharded*:
-// each node gets its own EventQueue and the fabric latency becomes a
-// conservative lookahead window (src/sim/shard_group.h), so node shards can
-// execute a window in parallel while staying bit-identical to a
-// single-threaded run. Outbound fabric frames are parked in per-node
-// mailboxes during a window and merged onto the hub engine at the barrier
-// in (deliver_time, source node, transmit seq) order.
+// Every node runs on its own EventQueue (the one its Router owns), and the
+// fabric latency is the conservative lookahead window of a ShardGroup
+// (src/sim/shard_group.h) that advances the node engines plus a hub engine,
+// so node shards can execute a window in parallel while staying
+// bit-identical to a single-threaded run. Outbound fabric frames are parked
+// in per-node mailboxes during a window and merged onto the hub engine at
+// the barrier in (deliver_time, source node, transmit seq) order.
 
 #ifndef SRC_CLUSTER_CLUSTER_ROUTER_H_
 #define SRC_CLUSTER_CLUSTER_ROUTER_H_
@@ -50,6 +50,10 @@ enum class FabricDrop : uint8_t { kNone, kLinkDown, kNodeDown, kInjected };
 // non-blocking, as a real gigabit switch effectively is at this scale).
 // Every drop is attributed to the transmitting member, so a blackholed
 // node is visible per member, not just as a global count.
+//
+// The fabric itself (gate verdicts, stats, control sinks) runs on the hub
+// engine it is constructed with; a frame for a MacPort member is handed to
+// that port's own engine at the hub's current time.
 class SwitchFabric {
  public:
   struct MemberStats {
@@ -60,18 +64,21 @@ class SwitchFabric {
     uint64_t injected_dropped = 0;
   };
 
-  // Attaches `port` under `mac`. Frames the port transmits enter the
-  // fabric; frames addressed to `mac` are injected into the port's wire.
+  explicit SwitchFabric(EventQueue& hub) : hub_(hub) {}
+
+  // Attaches `port` under `mac`: frames addressed to `mac` are injected
+  // into the port's wire. The port's own transmissions reach the fabric
+  // through SendFrom; wiring its sink is the owner's job.
   void Attach(const MacAddr& mac, MacPort& port);
 
   // Attaches a frame sink under `mac` with no MacPort behind it — the
   // control plane's receive path. Control frames cross the same fabric and
   // the same gate as data, so a down link starves hellos exactly as it
-  // starves traffic.
+  // starves traffic. Sinks are called synchronously, on the hub.
   void AttachControlSink(const MacAddr& mac, std::function<void(Packet&&)> sink);
 
-  // Offers a frame to the fabric on behalf of member `src_mac` (the control
-  // plane's transmit path; MacPort members enter via their sink instead).
+  // Offers a frame to the fabric on behalf of member `src_mac`. Must run on
+  // the hub engine.
   void SendFrom(const MacAddr& src_mac, Packet&& packet);
 
   // Consulted per crossing once the destination member resolves; a verdict
@@ -85,21 +92,12 @@ class SwitchFabric {
   // Stats charged to the transmitting member (zeroes for unknown MACs).
   MemberStats member_stats(const MacAddr& mac) const;
 
-  // Sharded clusters: member frames are delivered by scheduling the wire
-  // injection on the destination port's own engine at the hub's current
-  // time, instead of injecting synchronously — the fabric itself (gate,
-  // stats) always runs on the hub. Control sinks stay synchronous; they are
-  // hub-resident by construction. Pass nullptr to restore direct delivery.
-  void set_deferred_delivery(EventQueue* hub) { hub_ = hub; }
-
  private:
-  void Deliver(const MacAddr& src_mac, Packet&& packet);
-
+  EventQueue& hub_;
   std::map<MacAddr, MacPort*> members_;
   std::map<MacAddr, std::function<void(Packet&&)>> control_sinks_;
   std::map<MacAddr, MemberStats> member_stats_;
   Gate gate_;
-  EventQueue* hub_ = nullptr;
   uint64_t forwarded_ = 0;
   uint64_t unknown_ = 0;
   uint64_t gate_dropped_ = 0;
@@ -121,18 +119,15 @@ struct ClusterConfig {
   // failure.
   int internal_links = 1;
 
-  // --- sharded execution (docs/perf.md, "Sharded cluster simulation") ---
+  // --- execution (docs/perf.md, "Sharded cluster simulation") ---
   //
-  // 0 (the default) is the legacy mode: every node shares the cluster
-  // engine and fabric crossings deliver synchronously with zero latency.
-  // A positive value models a store-and-forward fabric: a frame transmitted
-  // at t is injected into the destination port at t + fabric_latency_ps,
-  // and each node runs on its own EventQueue shard. The latency doubles as
-  // the conservative lookahead window, so runs are bit-identical for any
-  // `threads` value. 2 µs is a realistic gigabit switch crossing.
-  SimTime fabric_latency_ps = 0;
-  // Worker threads for the node phase of each window (1 = sequential; only
-  // meaningful in sharded mode).
+  // The store-and-forward fabric: a frame transmitted at t is injected into
+  // the destination port at t + fabric_latency_ps. The latency doubles as
+  // the conservative lookahead window, so it must be positive, and runs are
+  // bit-identical for any `threads` value. 2 µs is a realistic gigabit
+  // switch crossing.
+  SimTime fabric_latency_ps = 2 * kPsPerUs;
+  // Worker threads for the node phase of each window (1 = sequential).
   int threads = 1;
   // Window-width override for lookahead-violation testing; 0 = auto
   // (= fabric_latency_ps). A window wider than the fabric latency breaks
@@ -156,32 +151,19 @@ class ClusterRouter {
   void WarmRouteCaches();
 
   void Start();
-  void RunFor(SimTime dt) {
-    if (shard_group_) {
-      shard_group_->RunFor(dt);
-    } else {
-      engine_.RunFor(dt);
-    }
-  }
+  void RunFor(SimTime dt) { shard_group_->RunFor(dt); }
   void RunForMs(double ms) { RunFor(static_cast<SimTime>(ms * kPsPerMs)); }
   void StartMeasurement();
 
   // The hub engine: cluster-global logic (control plane, fault supervisors,
-  // federated health, fabric gate) lives here. In legacy mode it is also
-  // every node's engine.
+  // federated health, fabric gate) lives here.
   EventQueue& engine() { return engine_; }
-  // The engine node `k`'s pipeline runs on: its shard when sharded, the hub
-  // otherwise. Per-node traffic drivers and observers belong here.
-  EventQueue& node_engine(int k) {
-    return shard_engines_.empty() ? engine_ : *shard_engines_[static_cast<size_t>(k)];
-  }
-  bool sharded() const { return config_.fabric_latency_ps > 0; }
-  SimTime now() const { return shard_group_ ? shard_group_->now() : engine_.now(); }
-  // Events executed across the hub and every shard (== engine().events_run()
-  // in legacy mode).
-  uint64_t TotalEventsRun() const {
-    return shard_group_ ? shard_group_->events_run() : engine_.events_run();
-  }
+  // The engine node `k`'s pipeline runs on (its shard). Per-node traffic
+  // drivers and observers belong here.
+  EventQueue& node_engine(int k) { return node(k).engine(); }
+  SimTime now() const { return shard_group_->now(); }
+  // Events executed across the hub and every shard.
+  uint64_t TotalEventsRun() const { return shard_group_->events_run(); }
   Router& node(int i) { return *nodes_[static_cast<size_t>(i)]; }
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
   int num_planes() const { return config_.internal_links; }
@@ -215,10 +197,8 @@ class ClusterRouter {
   uint32_t ExternalDstIp(int g, uint16_t low = 1) const;
   int num_external_ports() const { return num_nodes() * external_ports_per_node(); }
 
-  // Aggregate statistics across the cluster.
-  uint64_t TotalForwarded() const;
+  // Queue-full and overwritten-buffer drops summed across the nodes.
   uint64_t TotalDrops() const;
-  double AggregateRateMpps() const;
 
   ~ClusterRouter();
 
@@ -246,15 +226,13 @@ class ClusterRouter {
   EventQueue engine_;  // the hub
   ClusterConfig config_;
   int first_internal_port_ = 0;
-  std::vector<std::unique_ptr<EventQueue>> shard_engines_;  // empty in legacy mode
-  std::vector<FabricMailbox> mailboxes_;                    // one per node
+  std::vector<FabricMailbox> mailboxes_;  // one per node
   std::vector<std::unique_ptr<Router>> nodes_;
   std::vector<std::unique_ptr<SwitchFabric>> planes_;
   std::unique_ptr<ShardGroup> shard_group_;
   std::vector<bool> node_up_;
   std::vector<bool> link_up_;  // node * num_planes() + plane
   std::vector<std::function<void(int, bool)>> node_state_hooks_;
-  SimTime window_start_ = 0;
 };
 
 }  // namespace npr

@@ -19,17 +19,10 @@ constexpr uint32_t kScratchArenaBase = 0;
 }  // namespace
 
 Router::Router(RouterConfig config)
-    : Router(std::move(config), nullptr) {}
-
-Router::Router(RouterConfig config, EventQueue& shared_engine)
-    : Router(std::move(config), &shared_engine) {}
-
-Router::Router(RouterConfig config, EventQueue* shared_engine)
     : config_(std::move(config)),
-      owned_engine_(shared_engine == nullptr ? std::make_unique<EventQueue>() : nullptr),
-      engine_(shared_engine != nullptr ? *shared_engine : *owned_engine_),
-      chip_(engine_, config_.hw),
-      host_(engine_, config_.hw),
+      engine_(std::make_unique<EventQueue>()),
+      chip_(*engine_, config_.hw),
+      host_(*engine_, config_.hw),
       sram_arena_(kSramArenaBase, static_cast<uint32_t>(chip_.memory().sram_store().size())),
       scratch_arena_(kScratchArenaBase,
                      static_cast<uint32_t>(chip_.memory().scratch_store().size())),
@@ -42,11 +35,11 @@ Router::Router(RouterConfig config, EventQueue* shared_engine)
   // traffic in kReal mode.
   ports_.reserve(static_cast<size_t>(config_.num_ports()));
   for (int p = 0; p < config_.num_ports(); ++p) {
-    ports_.push_back(std::make_unique<MacPort>(engine_, static_cast<uint8_t>(p),
+    ports_.push_back(std::make_unique<MacPort>(*engine_, static_cast<uint8_t>(p),
                                                config_.port_rates_bps[static_cast<size_t>(p)]));
   }
 
-  queues_ = std::make_unique<QueuePlan>(engine_, chip_.memory(), config_, sram_arena_,
+  queues_ = std::make_unique<QueuePlan>(*engine_, chip_.memory(), config_, sram_arena_,
                                         scratch_arena_, config_.input_contexts(),
                                         std::max(1, config_.output_contexts()));
 
@@ -66,7 +59,7 @@ Router::Router(RouterConfig config, EventQueue* shared_engine)
   }
 
   core_.config = &config_;
-  core_.engine = &engine_;
+  core_.engine = engine_.get();
   core_.chip = &chip_;
   core_.host = &host_;
   core_.buffers = &buffers_;
@@ -95,7 +88,7 @@ Router::Router(RouterConfig config, EventQueue* shared_engine)
   core_.pentium = pentium_.get();
 
   if (config_.fault_plan.Any()) {
-    fault_ = std::make_unique<FaultInjector>(config_.fault_plan, engine_);
+    fault_ = std::make_unique<FaultInjector>(config_.fault_plan, *engine_);
     core_.fault = fault_.get();
     MemorySystem& m = chip_.memory();
     m.dram().set_fault_injector(fault_.get());
@@ -150,11 +143,8 @@ void Router::SetGovernor(OverloadGovernor* governor) {
 
 Router::~Router() {
   // Drop pending events before the coroutine frames die so nothing can
-  // resume into freed state. A shared engine belongs to the cluster, which
-  // clears it before destroying its member routers.
-  if (owned_engine_ != nullptr) {
-    owned_engine_->Clear();
-  }
+  // resume into freed state.
+  engine_->Clear();
 }
 
 void Router::Start() {
@@ -184,14 +174,14 @@ void Router::DrainOnce() {
   for (const auto& q : queues_->all_queues()) {
     while (auto d = q->Pop()) {
       stats_.forwarded += 1;
-      stats_.forward_rate.Record(engine_.now());
+      stats_.forward_rate.Record(engine_->now());
     }
   }
   while (sa_local_queue_->Pop()) {
   }
   while (sa_pentium_queue_->Pop()) {
   }
-  engine_.ScheduleIn(kPsPerUs, [this] { DrainOnce(); });
+  engine_->ScheduleIn(kPsPerUs, [this] { DrainOnce(); });
 }
 
 InstallOutcome Router::Install(const InstallRequest& request) {
@@ -397,7 +387,7 @@ void Router::WarmRouteCache(int spread) {
 }
 
 void Router::StartMeasurement() {
-  stats_.StartWindow(engine_.now());
+  stats_.StartWindow(engine_->now());
   chip_.memory().ResetStats();
   chip_.strongarm().ResetStats();
   host_.pentium().ResetStats();

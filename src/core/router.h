@@ -66,10 +66,10 @@ struct InstallOutcome {
 
 class Router {
  public:
+  // Every router runs on its own event queue; a multi-node configuration
+  // (the paper's §6 "four Pentium/IXP pairs", src/cluster) advances its
+  // members' queues in lockstep windows.
   explicit Router(RouterConfig config);
-  // Multi-node configurations (the paper's §6 "four Pentium/IXP pairs")
-  // share one simulation clock: pass the common event queue.
-  Router(RouterConfig config, EventQueue& shared_engine);
   ~Router();
 
   Router(const Router&) = delete;
@@ -95,15 +95,15 @@ class Router {
   void WarmRouteCache(int spread = 64);
 
   // --- simulation control ---
-  void RunFor(SimTime dt) { engine_.RunFor(dt); }
-  void RunForMs(double ms) { engine_.RunFor(static_cast<SimTime>(ms * kPsPerMs)); }
+  void RunFor(SimTime dt) { engine_->RunFor(dt); }
+  void RunForMs(double ms) { engine_->RunFor(static_cast<SimTime>(ms * kPsPerMs)); }
   // Discards warmup statistics and opens a measurement window.
   void StartMeasurement();
   // Forwarding rate in Mpps over the measurement window.
   double ForwardingRateMpps() const;
 
   // --- access ---
-  EventQueue& engine() { return engine_; }
+  EventQueue& engine() { return *engine_; }
   const RouterConfig& config() const { return config_; }
   Ixp1200& chip() { return chip_; }
   HostSystem& host() { return host_; }
@@ -166,8 +166,7 @@ class Router {
 
  private:
   RouterConfig config_;
-  std::unique_ptr<EventQueue> owned_engine_;  // null when the engine is shared
-  EventQueue& engine_;
+  std::unique_ptr<EventQueue> engine_;
   // Declared before the processors so it outlives their coroutine frames:
   // a StrongARM or Pentium loop torn down mid-packet still holds a frame
   // from this pool, and its destructor returns the frame here.
@@ -205,8 +204,6 @@ class Router {
   std::unique_ptr<StrongArmBridge> bridge_;
   std::unique_ptr<PentiumHost> pentium_;
   std::unique_ptr<NativeForwarder> exception_handler_;
-
-  Router(RouterConfig config, EventQueue* shared_engine);
 
   void DrainOnce();
 

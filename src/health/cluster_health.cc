@@ -24,8 +24,8 @@ ClusterHealthMonitor::ClusterHealthMonitor(ClusterRouter& cluster,
     cc.backoff_jitter = 0.0;
     cc.max_attempts = cfg_.probe_max_attempts;
     // Probe channels are hub residents: their callbacks mutate monitor
-    // state, so in a sharded cluster they must run on the hub engine, not
-    // the probed node's shard. (Same engine object in legacy mode.)
+    // state, so they must run on the hub engine, not the probed node's
+    // shard.
     probes_[static_cast<size_t>(k)].channel =
         std::make_unique<ControlChannel>(cluster_.node(k), cluster_.engine(), cc);
     probes_[static_cast<size_t>(k)].channel->set_link_up(cluster_.node_up(k));

@@ -55,8 +55,8 @@ class ControlChannel {
 
   ControlChannel(Router& router, ControlChannelConfig config = ControlChannelConfig{});
   // Pins the channel's timers/deliveries to an explicit engine instead of
-  // the router's own. A sharded cluster's probe channels run on the hub
-  // engine while the probed router runs on its node shard; executions then
+  // the router's own. A cluster's probe channels run on the hub engine
+  // while the probed router runs on its node shard; executions then
   // happen in the hub phase, when the shard is parked. Equivalent to the
   // two-argument form whenever `engine == router.engine()`.
   ControlChannel(Router& router, EventQueue& engine,

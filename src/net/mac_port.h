@@ -47,7 +47,7 @@ class MacPort {
   uint8_t id() const { return id_; }
   double bits_per_sec() const { return bits_per_sec_; }
   // The engine this port's wire events run on — the owning node's shard in
-  // a sharded cluster (deferred fabric delivery schedules injections here).
+  // a cluster (the switch fabric schedules injections here).
   EventQueue& engine() { return engine_; }
 
   // The port's frame-buffer pool. TrafficGen acquires RX frames here; the

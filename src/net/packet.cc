@@ -119,15 +119,6 @@ bool MpCursor::CopyNext(Mp& out) {
   return true;
 }
 
-std::vector<Mp> SegmentIntoMps(const Packet& packet, uint8_t port) {
-  std::vector<Mp> mps(packet.mp_count());
-  MpCursor cursor(packet, port);
-  for (Mp& mp : mps) {
-    cursor.CopyNext(mp);
-  }
-  return mps;
-}
-
 MpReassembler::~MpReassembler() {
   if (partial_ != nullptr) {
     partial_->Unref();

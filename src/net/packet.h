@@ -202,10 +202,6 @@ class MpCursor {
   uint8_t port_;
 };
 
-// Compatibility wrapper over MpCursor for tests and tools; the data path
-// uses the cursor directly to avoid the per-packet vector.
-std::vector<Mp> SegmentIntoMps(const Packet& packet, uint8_t port);
-
 // Rebuilds frames from MPs arriving in order, as the transmitting MAC does.
 // One instance per output port. With a pool attached the partial frame is
 // assembled directly in a pooled MTU-class buffer (heap fallback when the

@@ -25,6 +25,11 @@ struct LatencyCase {
   int64_t expect_cycles;
 };
 
+// Without a printer gtest dumps the raw bytes, which hold the address of
+// `memory`; ctest's discovered test names carry that dump. The name
+// generator below already spells out memory, direction and size.
+void PrintTo(const LatencyCase& c, std::ostream* os) { *os << c.expect_cycles << " cycles"; }
+
 class Table3Latency : public MemorySystemTest,
                       public ::testing::WithParamInterface<LatencyCase> {};
 

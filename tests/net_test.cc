@@ -220,7 +220,11 @@ TEST_P(MpRoundTrip, SegmentThenReassembleIsIdentity) {
   Packet original = BuildPacket(spec);
   original.set_id(777);
 
-  auto mps = SegmentIntoMps(original, 3);
+  std::vector<Mp> mps;
+  MpCursor cursor(original, 3);
+  for (Mp mp; cursor.CopyNext(mp);) {
+    mps.push_back(mp);
+  }
   ASSERT_EQ(mps.size(), original.mp_count());
   EXPECT_TRUE(mps.front().tag.sop);
   EXPECT_TRUE(mps.back().tag.eop);
@@ -312,7 +316,8 @@ TEST(MacPort, TxReassemblesAndDeliversToSink) {
   spec.frame_bytes = 200;
   Packet original = BuildPacket(spec);
   original.set_id(42);
-  for (const auto& mp : SegmentIntoMps(original, 1)) {
+  MpCursor cursor(original, 1);
+  for (Mp mp; cursor.CopyNext(mp);) {
     port.TxAccept(mp);
   }
   engine.RunAll();
@@ -561,7 +566,8 @@ TEST(MacPort, SinkFramesOutliveThePool) {
     spec.frame_bytes = 200;
     Packet frame = BuildPacket(spec);
     frame.set_id(42);
-    for (const Mp& mp : SegmentIntoMps(frame, 1)) {
+    MpCursor cursor(frame, 1);
+    for (Mp mp; cursor.CopyNext(mp);) {
       port.TxAccept(mp);
     }
     engine.RunAll();

@@ -556,7 +556,6 @@ TEST(OverloadCluster, FloodedClusterHasZeroSpuriousReconvergences) {
   cfg.threads = 2;
   cfg.node_config.port_rates_bps = std::vector<double>(4, 1e9);
   ClusterRouter cluster(std::move(cfg));
-  ASSERT_TRUE(cluster.sharded());
 
   ClusterControlPlane control(cluster);
   control.Start();

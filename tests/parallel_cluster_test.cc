@@ -139,7 +139,6 @@ TEST(ParallelClusterSmoke, CrossNodeFrameArrivesWithFabricLatency) {
   cfg.nodes = 2;
   cfg.fabric_latency_ps = 2 * kPsPerUs;
   ClusterRouter cluster(std::move(cfg));
-  ASSERT_TRUE(cluster.sharded());
   cluster.InstallClusterRoutes();
 
   std::vector<uint64_t> delivered(static_cast<size_t>(cluster.num_nodes()), 0);
@@ -376,6 +375,16 @@ TEST(ParallelClusterLookahead, WindowWiderThanFabricLatencyFailsLoudly) {
     cluster.RunForMs(1.0);
   };
   EXPECT_DEATH(run(), "lookahead violation");
+}
+
+TEST(ParallelClusterLookahead, ZeroFabricLatencyIsRefused) {
+  // A fabric that delivers instantly leaves no lookahead to window on, so
+  // there is no correct way to run the nodes apart: construction aborts.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ClusterConfig cfg;
+  cfg.nodes = 2;
+  cfg.fabric_latency_ps = 0;
+  EXPECT_DEATH({ ClusterRouter cluster(cfg); }, "window must be positive");
 }
 
 }  // namespace
