@@ -111,9 +111,11 @@ if obs_enabled:
 # --- sharded cluster: determinism always, speedup when cores allow ---
 # The bench already exits non-zero on a fingerprint divergence; re-checking
 # the row here keeps the failure message in one place. The speedup floor is
-# deliberately below the ~linear ideal: the hub phase is sequential and the
-# windows are short, so 8 threads landing 3x is the docs/perf.md target
-# while 2-4 cores only have to beat half their core count.
+# deliberately below the ~linear ideal: every short 2 us window ends in a
+# barrier across all worker threads, and that per-window barrier (not the
+# hub, which runs about 0.5% of the events) is what caps the speedup, so
+# 8 threads landing 3x is the docs/perf.md target while 2-4 cores only have
+# to beat half their core count.
 with open(f"{out_dir}/BENCH_cluster_scale.json") as f:
     scale = json.load(f)
 srows = {row["label"]: row["measured"] for row in scale["rows"]}

@@ -278,16 +278,6 @@ void ClusterRouter::InstallClusterRoutes() {
   WarmRouteCaches();
 }
 
-void ClusterRouter::InstallLocalRoutes() {
-  for (int g = 0; g < num_external_ports(); ++g) {
-    const auto [owner, port] = LocateExternal(g);
-    RouteEntry entry;
-    entry.out_port = static_cast<uint8_t>(port);
-    entry.next_hop_mac = PortMac(static_cast<uint8_t>(port));
-    node(owner).route_table().AddRoute(*Prefix::Parse(ExternalCidr(g)), entry);
-  }
-}
-
 void ClusterRouter::WarmRouteCaches() {
   for (int k = 0; k < num_nodes(); ++k) {
     for (int g = 0; g < num_external_ports(); ++g) {

@@ -144,9 +144,6 @@ class ClusterRouter {
   // where g ranges over all external ports; remote prefixes route through
   // the internal link with the owning node's MAC as next hop.
   void InstallClusterRoutes();
-  // Installs only each node's own external prefixes — remote prefixes are
-  // left to a control plane (ClusterControlPlane) to discover and install.
-  void InstallLocalRoutes();
   // Warms every node's fast-path cache for the cluster address plan.
   void WarmRouteCaches();
 

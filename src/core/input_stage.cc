@@ -326,18 +326,6 @@ Task InputStage::ContextLoop(HwContext& ctx, int member, int ctx_index, uint8_t 
   MemorySystem& mem = core_.chip->memory();
   StageStats& st = core_.stats->input;
 
-  // Back-to-back Compute fusion gate. Fusing two pipeline occupancies into
-  // one preserves this context's timeline exactly, but enqueues the
-  // completion event earlier than the two-event shape did — which reorders
-  // same-instant event ties and perturbs replay whenever another actor can
-  // observe them. So fusion is confined to the isolated synthetic input
-  // profile (Table 1 I rows): synthetic MPs, no output stage, no stack
-  // pool, no observer, no fault plan. Everything else keeps the exact
-  // event-for-event shape.
-  const bool fuse_static = cfg.port_mode == PortMode::kInfiniteFifo &&
-                           cfg.output_contexts() == 0 && core_.stack_pool == nullptr &&
-                           !cfg.dram_direct_path;
-
   for (;;) {
     // Crash-safe point: no token, mutex, or claim is held here, so a crash
     // loses no packet — at worst a partial assembly waits for the port's
@@ -360,36 +348,19 @@ Task InputStage::ContextLoop(HwContext& ctx, int member, int ctx_index, uint8_t 
     co_await ring_.Acquire(member);
     // Token critical section: port check + DMA issue (§3.2.2). The
     // calibrated overhead models the signal test and branch shadow.
-    //
-    // Synthetic isolation fast path: the claim cannot fail (synthetic MPs
-    // always materialize) and nothing can observe the instant it lands
-    // inside the token hold, so the two pipeline occupancies around it
-    // fuse into one — same cycle total, same token timeline, one fewer
-    // event per MP.
-    Claim claim;
-    const bool fuse = fuse_static && core_.obs == nullptr && core_.fault == nullptr;
-    if (fuse) {
-      co_await ctx.Compute(costs.in_cs_port_check + cfg.hw.input_token_overhead_cycles +
-                           costs.in_cs_dma_issue);
-      st.reg_cycles += costs.in_cs_port_check;
-      const bool claimed = ClaimNext(port, ctx_index, &claim);
-      assert(claimed);
-      (void)claimed;
-      st.reg_cycles += costs.in_cs_dma_issue;
-    } else {
-      co_await ctx.Compute(costs.in_cs_port_check + cfg.hw.input_token_overhead_cycles);
-      st.reg_cycles += costs.in_cs_port_check;
+    co_await ctx.Compute(costs.in_cs_port_check + cfg.hw.input_token_overhead_cycles);
+    st.reg_cycles += costs.in_cs_port_check;
 
-      if (!ClaimNext(port, ctx_index, &claim)) {
-        ring_.Release(member);
-        co_await ctx.Compute(costs.in_loop);
-        // Idle port: give the engine to siblings rather than spinning hot.
-        co_await ctx.Yield();
-        continue;
-      }
-      co_await ctx.Compute(costs.in_cs_dma_issue);
-      st.reg_cycles += costs.in_cs_dma_issue;
+    Claim claim;
+    if (!ClaimNext(port, ctx_index, &claim)) {
+      ring_.Release(member);
+      co_await ctx.Compute(costs.in_loop);
+      // Idle port: give the engine to siblings rather than spinning hot.
+      co_await ctx.Yield();
+      continue;
     }
+    co_await ctx.Compute(costs.in_cs_dma_issue);
+    st.reg_cycles += costs.in_cs_dma_issue;
 
     if (cfg.port_mode == PortMode::kReal) {
       // The DMA moves the MP from port memory to the context's RFIFO slot
@@ -408,31 +379,26 @@ Task InputStage::ContextLoop(HwContext& ctx, int member, int ctx_index, uint8_t 
       ring_.Release(member);
     }
 
-    if (fuse) {
-      co_await ctx.Compute(costs.in_addr_calc + costs.in_fifo_copy + costs.in_protocol);
-      st.reg_cycles += costs.in_addr_calc + costs.in_fifo_copy + costs.in_protocol;
-    } else {
-      co_await ctx.Compute(costs.in_addr_calc + costs.in_fifo_copy);
-      st.reg_cycles += costs.in_addr_calc + costs.in_fifo_copy;
-      if (core_.stack_pool != nullptr && claim.mp.tag.sop) {
-        // §3.2.3 alternative: the buffer pop is an extra SRAM round trip.
-        co_await ctx.Read(mem.sram(), 4);
-        st.sram_reads += 1;
-      }
-      if (cfg.dram_direct_path) {
-        // §3.7 ablation: the port's DMA already wrote the MP to DRAM, and
-        // the context must fetch it from there rather than from a FIFO slot.
-        mem.dram().Issue(64, /*is_write=*/true, nullptr);  // port -> DRAM (DMA)
-        co_await ctx.Read(mem.dram(), 64);                 // DRAM -> registers
-        st.dram_reads += 2;
-        st.dram_writes += 2;
-      }
-
-      // Protocol processing (§3.2): classification + forwarder, charged per
-      // MP. The route-cache entry is 8 bytes = two 4-byte SRAM reads.
-      co_await ctx.Compute(costs.in_protocol);
-      st.reg_cycles += costs.in_protocol;
+    co_await ctx.Compute(costs.in_addr_calc + costs.in_fifo_copy);
+    st.reg_cycles += costs.in_addr_calc + costs.in_fifo_copy;
+    if (core_.stack_pool != nullptr && claim.mp.tag.sop) {
+      // §3.2.3 alternative: the buffer pop is an extra SRAM round trip.
+      co_await ctx.Read(mem.sram(), 4);
+      st.sram_reads += 1;
     }
+    if (cfg.dram_direct_path) {
+      // §3.7 ablation: the port's DMA already wrote the MP to DRAM, and
+      // the context must fetch it from there rather than from a FIFO slot.
+      mem.dram().Issue(64, /*is_write=*/true, nullptr);  // port -> DRAM (DMA)
+      co_await ctx.Read(mem.dram(), 64);                 // DRAM -> registers
+      st.dram_reads += 2;
+      st.dram_writes += 2;
+    }
+
+    // Protocol processing (§3.2): classification + forwarder, charged per
+    // MP. The route-cache entry is 8 bytes = two 4-byte SRAM reads.
+    co_await ctx.Compute(costs.in_protocol);
+    st.reg_cycles += costs.in_protocol;
     co_await ctx.Read(mem.sram(), 4);
     co_await ctx.Read(mem.sram(), 4);
     st.sram_reads += 2;
@@ -522,29 +488,17 @@ Task InputStage::ContextLoop(HwContext& ctx, int member, int ctx_index, uint8_t 
           break;
       }
 
-      if (mutex != nullptr && fuse) {
+      if (mutex != nullptr) {
         co_await mutex->Acquire(ctx);
         st.mutex_ops += 2;
-        // Mutex bookkeeping, the CAM probe pipeline stall (engine time, not
-        // instructions — see HwConfig::mutex_pipeline_stall_cycles), and the
-        // enqueue itself run back to back under the mutex, so they fuse into
-        // one pipeline occupancy (same cycle total, two fewer events).
-        co_await ctx.Compute(costs.in_mutex_ops + cfg.hw.mutex_pipeline_stall_cycles +
-                             costs.in_enqueue);
-        st.reg_cycles += costs.in_mutex_ops + costs.in_enqueue;
-      } else {
-        if (mutex != nullptr) {
-          co_await mutex->Acquire(ctx);
-          st.mutex_ops += 2;
-          co_await ctx.Compute(costs.in_mutex_ops);
-          st.reg_cycles += costs.in_mutex_ops;
-          // CAM probe pipeline stall: engine time, not instructions (see
-          // HwConfig::mutex_pipeline_stall_cycles).
-          co_await ctx.Compute(cfg.hw.mutex_pipeline_stall_cycles);
-        }
-        co_await ctx.Compute(costs.in_enqueue);
-        st.reg_cycles += costs.in_enqueue;
+        co_await ctx.Compute(costs.in_mutex_ops);
+        st.reg_cycles += costs.in_mutex_ops;
+        // CAM probe pipeline stall: engine time, not instructions (see
+        // HwConfig::mutex_pipeline_stall_cycles).
+        co_await ctx.Compute(cfg.hw.mutex_pipeline_stall_cycles);
       }
+      co_await ctx.Compute(costs.in_enqueue);
+      st.reg_cycles += costs.in_enqueue;
 
       PacketDescriptor d;
       d.buffer_addr = claim.buffer_addr;

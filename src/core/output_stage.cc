@@ -122,14 +122,6 @@ Task OutputStage::ContextLoop(HwContext& ctx, int member, int out_ctx_index) {
   const auto& queues = core_.queues->QueuesForOutputContext(out_ctx_index);
   const uint32_t batch_max = 8;
 
-  // Output-only synthetic runs (fake descriptors, no input stage feeding the
-  // queues, no observer, no fault plan): the queues stay empty forever, so
-  // selection always lands on the fake descriptor and nothing can observe
-  // the instant between queue selection and dequeue. The two pipeline
-  // occupancies fuse into one Compute — same cycle total, one fewer event
-  // per packet.
-  const bool fuse_select_dequeue = cfg.output_fake_data && cfg.input_contexts() == 0;
-
   for (;;) {
     // Crash-safe point: no token is held. A mid-stream packet survives in
     // streaming_[out_ctx_index] and resumes after the restart.
@@ -178,14 +170,8 @@ Task OutputStage::ContextLoop(HwContext& ctx, int member, int out_ctx_index) {
           select_cost += costs.out_indirection_cycles;
           break;
       }
-      const bool fused = fuse_select_dequeue && core_.obs == nullptr && core_.fault == nullptr;
-      if (fused) {
-        co_await ctx.Compute(select_cost + costs.out_dequeue);
-        st.reg_cycles += select_cost + costs.out_dequeue;
-      } else {
-        co_await ctx.Compute(select_cost);
-        st.reg_cycles += select_cost;
-      }
+      co_await ctx.Compute(select_cost);
+      st.reg_cycles += select_cost;
 
       PacketQueue* chosen = nullptr;
       for (PacketQueue* q : queues) {
@@ -203,7 +189,6 @@ Task OutputStage::ContextLoop(HwContext& ctx, int member, int out_ctx_index) {
       }
       const bool use_fake = chosen == nullptr && fake_ready_;
       if (chosen == nullptr && !use_fake) {
-        assert(!fused && "fused select+dequeue requires the fake descriptor");
         core_.stats->output_idle_iters += 1;
         cur.batch_remaining = 0;
         co_await ctx.Compute(costs.out_loop);
@@ -220,11 +205,9 @@ Task OutputStage::ContextLoop(HwContext& ctx, int member, int out_ctx_index) {
       }
 
       // Dequeue: descriptors are fetched in 16-byte SRAM bursts, one burst
-      // per `dequeue_burst` packets. (Charged with selection when fused.)
-      if (!fused) {
-        co_await ctx.Compute(costs.out_dequeue);
-        st.reg_cycles += costs.out_dequeue;
-      }
+      // per `dequeue_burst` packets.
+      co_await ctx.Compute(costs.out_dequeue);
+      st.reg_cycles += costs.out_dequeue;
       if (cur.pops_since_burst == 0) {
         co_await ctx.Read(mem.sram(), 16);
         st.sram_reads += 1;

@@ -23,10 +23,16 @@ QueuePlan::QueuePlan(EventQueue& engine, MemorySystem& memory, const RouterConfi
   }
 
   by_output_ctx_.resize(static_cast<size_t>(num_output_contexts));
-  ready_word_addr_.resize(static_cast<size_t>(num_output_contexts));
-  for (int j = 0; j < num_output_contexts; ++j) {
-    ready_word_addr_[static_cast<size_t>(j)] = scratch_arena.Alloc(4);
-    scratch_store_.WriteU32(ready_word_addr_[static_cast<size_t>(j)], 0);
+  // An output context's readiness bit-array takes one zeroed Scratch word per
+  // 32 queues it services; this tracks each context's last word.
+  const auto new_ready_word = [&] {
+    const uint32_t addr = scratch_arena.Alloc(4);
+    scratch_store_.WriteU32(addr, 0);
+    return addr;
+  };
+  std::vector<uint32_t> ready_word_addr(static_cast<size_t>(num_output_contexts));
+  for (uint32_t& addr : ready_word_addr) {
+    addr = new_ready_word();
   }
 
   queues_.reserve(static_cast<size_t>(total));
@@ -49,9 +55,12 @@ QueuePlan::QueuePlan(EventQueue& engine, MemorySystem& memory, const RouterConfi
         aux.mutex = mutexes_.back().get();
       }
       auto& list = by_output_ctx_[static_cast<size_t>(aux.out_ctx)];
-      aux.ready_word = ready_word_addr_[static_cast<size_t>(aux.out_ctx)];
-      aux.ready_bit = static_cast<uint32_t>(list.size());
-      assert(aux.ready_bit < 32 && "more queues per output context than readiness bits");
+      uint32_t& word = ready_word_addr[static_cast<size_t>(aux.out_ctx)];
+      aux.ready_bit = static_cast<uint32_t>(list.size() % 32);
+      if (!list.empty() && aux.ready_bit == 0) {
+        word = new_ready_word();  // the context's last word is full
+      }
+      aux.ready_word = word;
       list.push_back(queues_.back().get());
       aux_.push_back(aux);
     }

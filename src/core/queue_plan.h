@@ -6,8 +6,8 @@
 //   I.1 private:   one queue per (input context, output port) — no locks,
 //       but the output side must service many more queues (O.3).
 // Output contexts are statically assigned whole ports (§3.4.4), and for
-// O.3 each output context gets a Scratch readiness bit-array so it checks
-// one word instead of every head pointer (§3.4.3).
+// O.3 each output context gets a Scratch readiness bit-array (one word per
+// 32 queues) so it checks one word instead of every head pointer (§3.4.3).
 
 #ifndef SRC_CORE_QUEUE_PLAN_H_
 #define SRC_CORE_QUEUE_PLAN_H_
@@ -52,9 +52,6 @@ class QueuePlan {
   }
 
   // Readiness bit-array support (O.3).
-  uint32_t ReadyWordAddr(int out_ctx) const {
-    return ready_word_addr_[static_cast<size_t>(out_ctx)];
-  }
   void MarkReady(const PacketQueue& queue);
   void ClearReady(const PacketQueue& queue);
   bool IsReady(const PacketQueue& queue) const;
@@ -82,7 +79,6 @@ class QueuePlan {
   std::vector<std::unique_ptr<HwMutex>> mutexes_;
   std::vector<std::vector<PacketQueue*>> by_output_ctx_;
   std::vector<int> port_to_out_ctx_;
-  std::vector<uint32_t> ready_word_addr_;  // per output context
 
   size_t IndexFor(int input_ctx, uint8_t out_port, uint32_t priority) const;
 };

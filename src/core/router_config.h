@@ -56,12 +56,6 @@ struct StageCosts {
   uint32_t in_mutex_ops = 9;       // CAM acquire/release issue (protected only)
   uint32_t in_loop = 1;
 
-  uint32_t InputTotal(InputQueueing iq) const {
-    const uint32_t base = in_cs_port_check + in_cs_dma_issue + in_addr_calc + in_fifo_copy +
-                          in_protocol + in_dram_copy + in_enqueue + in_loop;
-    return base + (iq == InputQueueing::kProtectedPublic ? in_mutex_ops : 0);
-  }
-
   // --- output (total 109 with a single batched queue) ---
   uint32_t out_cs = 23;           // token critical section: FIFO slot enable order
   uint32_t out_select_queue = 20; // scheduler: pick a non-empty queue
@@ -73,10 +67,6 @@ struct StageCosts {
   // (3.29 Mpps).
   uint32_t out_head_check_cycles = 8;
   uint32_t out_indirection_cycles = 12;
-
-  uint32_t OutputTotal() const {
-    return out_cs + out_select_queue + out_dequeue + out_copy + out_loop;
-  }
 
   // Entries fetched per amortized 16 B SRAM burst in the batching dequeue.
   uint32_t dequeue_burst = 4;

@@ -11,56 +11,6 @@ constexpr size_t kIpHeaderEnd = kEthHeader + 20;
 
 }  // namespace
 
-const char* FaultKindName(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kMemLatencySpike:
-      return "mem_latency_spike";
-    case FaultKind::kMemBitFlip:
-      return "mem_bit_flip";
-    case FaultKind::kFrameCrcDrop:
-      return "frame_crc_drop";
-    case FaultKind::kFrameCorrupt:
-      return "frame_corrupt";
-    case FaultKind::kFrameTruncate:
-      return "frame_truncate";
-    case FaultKind::kRxStall:
-      return "rx_stall";
-    case FaultKind::kContextCrash:
-      return "context_crash";
-    case FaultKind::kTokenDrop:
-      return "token_drop";
-    case FaultKind::kDescCorrupt:
-      return "desc_corrupt";
-    case FaultKind::kTokenLost:
-      return "token_lost";
-    case FaultKind::kRestartLost:
-      return "restart_lost";
-    case FaultKind::kPentiumHang:
-      return "pentium_hang";
-    case FaultKind::kVrpTrap:
-      return "vrp_trap";
-    case FaultKind::kCtrlDrop:
-      return "ctrl_drop";
-    case FaultKind::kCtrlDup:
-      return "ctrl_dup";
-    case FaultKind::kCtrlDelay:
-      return "ctrl_delay";
-    case FaultKind::kLinkDown:
-      return "link_down";
-    case FaultKind::kFabricFrameLoss:
-      return "fabric_frame_loss";
-    case FaultKind::kNodeCrash:
-      return "node_crash";
-    case FaultKind::kUpgradeCrash:
-      return "upgrade_crash";
-    case FaultKind::kImageCorrupt:
-      return "image_corrupt";
-    case FaultKind::kCount:
-      break;
-  }
-  return "unknown";
-}
-
 FaultInjector::FaultInjector(const FaultPlan& plan, EventQueue& engine)
     : plan_(plan), engine_(engine), rng_(plan.seed) {
   if (plan_.context_crash_mean_ps > 0) {

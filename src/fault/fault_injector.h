@@ -55,8 +55,6 @@ enum class FaultKind : uint8_t {
 
 inline constexpr size_t kFaultKindCount = static_cast<size_t>(FaultKind::kCount);
 
-const char* FaultKindName(FaultKind kind);
-
 class FaultInjector {
  public:
   FaultInjector(const FaultPlan& plan, EventQueue& engine);

@@ -21,30 +21,6 @@ namespace {
 
 }  // namespace
 
-const char* RecoveryKindName(RecoveryEvent::Kind kind) {
-  switch (kind) {
-    case RecoveryEvent::Kind::kTokenRegen:
-      return "token-regen";
-    case RecoveryEvent::Kind::kContextRestore:
-      return "context-restore";
-    case RecoveryEvent::Kind::kPentiumDegrade:
-      return "pentium-degrade";
-    case RecoveryEvent::Kind::kQuarantine:
-      return "quarantine";
-    case RecoveryEvent::Kind::kLinkFailover:
-      return "link-failover";
-    case RecoveryEvent::Kind::kNodeFailover:
-      return "node-failover";
-    case RecoveryEvent::Kind::kNodeReadmit:
-      return "node-readmit";
-    case RecoveryEvent::Kind::kOverload:
-      return "overload";
-    case RecoveryEvent::Kind::kUpgradeRollback:
-      return "upgrade-rollback";
-  }
-  return "unknown";
-}
-
 HealthMonitor::HealthMonitor(Router& router, HealthConfig config)
     : router_(router), cfg_(config) {
   router_.set_health_hooks(this);

@@ -82,8 +82,6 @@ struct RecoveryEvent {
   SimTime mttr_ps() const { return recovered_at - fault_at; }
 };
 
-const char* RecoveryKindName(RecoveryEvent::Kind kind);
-
 class HealthMonitor : public HealthHooks {
  public:
   // Attaches to the router (set_health_hooks) and starts the watchdog tick.

@@ -36,11 +36,12 @@ class DmaEngine {
   // itself stays allocation-free; setup delays are identical, so completions
   // pop in issue order.
   //
-  // Note: folding the setup delay into the bus issue itself
-  // (MemoryChannel::IssueDeferred) produces arithmetically identical
-  // completion times, but enqueues the completion event earlier — which
-  // reorders same-instant event ties under contention and breaks
-  // bit-identical replay. The two-event shape is kept deliberately.
+  // Note: folding the setup delay into the bus issue itself (measuring the
+  // queue wait against the busy timeline at now + setup, with no setup
+  // event) produces arithmetically identical completion times, but enqueues
+  // the completion event earlier — which reorders same-instant event ties
+  // under contention and breaks bit-identical replay. The two-event shape
+  // is kept deliberately.
   void Transfer(uint32_t bytes, EventFn done) {
     pending_.push_back(Pending{bytes, std::move(done)});
     engine_.ScheduleRaw(engine_.now() + kIxpClock.ToTime(setup_cycles_), &DmaEngine::IssueHead,

@@ -57,11 +57,6 @@ SimTime MemoryChannel::Issue(uint32_t bytes, bool is_write, EventFn done) {
   return IssueAt(engine_.now(), bytes, is_write, std::move(done));
 }
 
-SimTime MemoryChannel::IssueDeferred(SimTime delay_ps, uint32_t bytes, bool is_write,
-                                     EventFn done) {
-  return IssueAt(engine_.now() + delay_ps, bytes, is_write, std::move(done));
-}
-
 SimTime MemoryChannel::IssueBurst(uint32_t n, uint32_t bytes_each, bool is_write,
                                   EventFn done) {
   assert(n > 0);

@@ -57,13 +57,6 @@ class MemoryChannel {
   // Returns that completion time.
   SimTime IssueBurst(uint32_t n, uint32_t bytes_each, bool is_write, EventFn done);
 
-  // Issues an access as if at now + delay_ps, without an intermediate
-  // event: the queue wait is measured against the busy timeline at that
-  // future instant. Correct when every issuer of this channel defers by the
-  // same delay (the DMA engines' shared setup time), so call order equals
-  // virtual-time order. Fault spikes are drawn at call time.
-  SimTime IssueDeferred(SimTime delay_ps, uint32_t bytes, bool is_write, EventFn done);
-
   // Round-trip latency an access issued right now would see (queueing
   // included), without actually issuing it. Computed from the same
   // busy-timeline helper Issue uses, so Peek and a subsequent Issue at the

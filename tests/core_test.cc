@@ -211,6 +211,21 @@ TEST_F(QueuePlanTest, ReadyBitsTrackQueueState) {
   EXPECT_FALSE(plan->IsReady(q));
 }
 
+TEST_F(QueuePlanTest, ReadyBitsStayDistinctBeyondOneWord) {
+  // Input-only I.1 runs park all 8 x 16 private queues on one output
+  // context: its readiness bit-array spans four words, one bit per queue.
+  auto plan = Make(InputQueueing::kPrivatePerContext, 1);
+  const auto& queues = plan->QueuesForOutputContext(0);
+  ASSERT_EQ(queues.size(), 128u);
+  for (size_t marked = 0; marked < queues.size(); ++marked) {
+    plan->MarkReady(*queues[marked]);
+    for (size_t i = 0; i < queues.size(); ++i) {
+      ASSERT_EQ(plan->IsReady(*queues[i]), i == marked) << "marked " << marked << ", queue " << i;
+    }
+    plan->ClearReady(*queues[marked]);
+  }
+}
+
 // --- FlowTable ---
 
 TEST(FlowTable, InsertLookupRemove) {

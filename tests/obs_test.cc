@@ -2,7 +2,7 @@
 // profiler, and the fault-triggered flight recorder.
 //
 // Three end-to-end properties (they need NPR_OBS_ENABLED and skip
-// otherwise) plus component unit tests that run in any build:
+// otherwise), one that holds in any build, and component unit tests:
 //   1. golden trace — the full span stream of the Table 1 line-rate config
 //      at a fixed seed is bit-identical across runs and matches the golden
 //      committed under tests/data/ (regenerate with NPR_REGEN_GOLDEN=1);
@@ -12,7 +12,10 @@
 //      cycle totals equal the MicroEngines' own accounting;
 //   3. flight recorder — an injected vrp_trap dumps the faulted packet's
 //      chain up to the failure point; a lost token dumps too, and the
-//      health monitor's recovery span lands at the recorded MTTR.
+//      health monitor's recovery span lands at the recorded MTTR;
+//   4. neutrality — the isolated Table 1 stages and the Figure 10
+//      maximal-contention run execute the same events and reach the same
+//      counters with and without an attached Observer.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +23,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -371,6 +375,124 @@ TEST(FlightRecorderTest, LostTokenDumpAndRecoverySpanAfterMttr) {
   }
 #endif
 }
+
+// Observing does not change the simulation. Each case is one of the
+// isolated measurement setups (§3.5.1: synthetic MPs, no Pentium or
+// StrongARM, one stage against a zero-cost drain or fake descriptors),
+// built and timed as its bench builds and times it; the run with an
+// Observer attached must match the bare run event for event.
+struct IsolatedCase {
+  const char* name;
+  RouterConfig config;
+  double measure_ms;  // after a 2 ms warm-up
+  double ns_per_pkt;  // EXPERIMENTS.md rate to hold within ±2%; 0 = none
+};
+
+void PrintTo(const IsolatedCase& c, std::ostream* os) { *os << c.name; }
+
+RouterConfig IsolatedBase() {
+  RouterConfig cfg;
+  cfg.port_mode = PortMode::kInfiniteFifo;
+  cfg.enable_pentium = false;
+  cfg.enable_strongarm = false;
+  return cfg;
+}
+
+RouterConfig InputOnly(InputQueueing iq, bool single_dst) {
+  RouterConfig cfg = IsolatedBase();
+  cfg.input_queueing = iq;
+  cfg.output_contexts_override = 0;
+  cfg.magic_drain = true;
+  cfg.synthetic_single_dst = single_dst;
+  return cfg;
+}
+
+RouterConfig OutputOnly(OutputServicing os) {
+  RouterConfig cfg = IsolatedBase();
+  cfg.input_contexts_override = 0;
+  cfg.output_fake_data = true;
+  cfg.output_servicing = os;
+  return cfg;
+}
+
+// bench/fig10_contention's maximal-contention run at 64 VRP blocks.
+RouterConfig Fig10MaxContention() {
+  RouterConfig cfg = InputOnly(InputQueueing::kProtectedPublic, true);
+  cfg.vrp_blocks_reg = 64;
+  cfg.vrp_blocks_sram = 64;
+  return cfg;
+}
+
+const IsolatedCase kIsolatedCases[] = {
+    {"I1", InputOnly(InputQueueing::kPrivatePerContext, false), 10, 0},
+    {"I2", InputOnly(InputQueueing::kProtectedPublic, false), 10, 0},
+    {"I3", InputOnly(InputQueueing::kProtectedPublic, true), 10, 0},
+    {"O1", OutputOnly(OutputServicing::kSingleQueueBatching), 10, 0},
+    {"O2", OutputOnly(OutputServicing::kSingleQueueNoBatching), 10, 0},
+    {"O3", OutputOnly(OutputServicing::kMultiQueueIndirection), 10, 0},
+    {"Fig10MaxContention64Blocks", Fig10MaxContention(), 8, 1710},
+};
+
+struct IsolatedRun {
+  uint64_t events_run = 0;
+  uint64_t forwarded = 0;
+  StageStats input;
+  StageStats output;
+  double mpps = 0;
+};
+
+IsolatedRun RunIsolated(const IsolatedCase& c, bool observed) {
+  Router router(c.config);
+  Observer obs(router.engine());
+  if (observed) {
+    router.SetObserver(&obs);
+  }
+  for (int p = 0; p < router.num_ports(); ++p) {
+    router.AddRoute("10." + std::to_string(p) + ".0.0/16", static_cast<uint8_t>(p));
+  }
+  router.WarmRouteCache(8);
+  router.Start();
+  router.RunForMs(2.0);
+  router.StartMeasurement();
+  router.RunForMs(c.measure_ms);
+  return {router.engine().events_run(), router.stats().forwarded, router.stats().input,
+          router.stats().output, router.ForwardingRateMpps()};
+}
+
+void ExpectSameStage(const StageStats& bare, const StageStats& observed, const char* stage) {
+  SCOPED_TRACE(stage);
+  EXPECT_EQ(bare.mps, observed.mps);
+  EXPECT_EQ(bare.packets, observed.packets);
+  EXPECT_EQ(bare.reg_cycles, observed.reg_cycles);
+  EXPECT_EQ(bare.sram_reads, observed.sram_reads);
+  EXPECT_EQ(bare.sram_writes, observed.sram_writes);
+  EXPECT_EQ(bare.dram_reads, observed.dram_reads);
+  EXPECT_EQ(bare.dram_writes, observed.dram_writes);
+  EXPECT_EQ(bare.scratch_reads, observed.scratch_reads);
+  EXPECT_EQ(bare.scratch_writes, observed.scratch_writes);
+  EXPECT_EQ(bare.mutex_ops, observed.mutex_ops);
+}
+
+class ObserverNeutrality : public ::testing::TestWithParam<IsolatedCase> {};
+
+TEST_P(ObserverNeutrality, SameEventsAndCountersWithAndWithoutObserver) {
+  const IsolatedCase& c = GetParam();
+  const IsolatedRun bare = RunIsolated(c, false);
+  const IsolatedRun observed = RunIsolated(c, true);
+  EXPECT_GT(bare.forwarded, 0u);
+  EXPECT_EQ(bare.events_run, observed.events_run);
+  EXPECT_EQ(bare.forwarded, observed.forwarded);
+  ExpectSameStage(bare.input, observed.input, "input");
+  ExpectSameStage(bare.output, observed.output, "output");
+  if (c.ns_per_pkt > 0) {
+    EXPECT_NEAR(1000.0 / bare.mpps, c.ns_per_pkt, 0.02 * c.ns_per_pkt);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Isolated, ObserverNeutrality, ::testing::ValuesIn(kIsolatedCases),
+                         [](const ::testing::TestParamInfo<IsolatedCase>& info) {
+                           return std::string(info.param.name);
+                         });
 
 // --- component unit tests (run in any build; Record() is gated only at
 // the hook sites, not on the Observer API itself) -------------------------
