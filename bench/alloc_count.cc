@@ -9,7 +9,7 @@
 //
 // The interposers are compiled only into Release (NDEBUG) non-sanitized
 // builds: sanitizers ship their own operator new and must keep it, and
-// Debug timing is not what the ceiling in ci/perf_smoke.sh guards. When
+// Debug timing is not what the ceiling in ci/smoke.sh guards. When
 // the interposers are absent AllocCount() stays 0, which the CI check
 // treats as "not counted" and skips.
 

@@ -5,6 +5,8 @@
 #define BENCH_BENCH_UTIL_H_
 
 #include <chrono>
+#include <cinttypes>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -23,17 +25,57 @@ namespace bench {
 // builds). Published as the "allocs" field of BENCH_<name>.json.
 uint64_t AllocCount();
 
-// --- machine-readable results (BENCH_<name>.json) ---
+// --- machine-readable results (BENCH_<name>.json) and their budgets ---
 //
-// Row() records every paper-vs-measured row as it is printed; EmitJson()
-// dumps them plus wall-clock time and simulation-event throughput so CI
-// (ci/perf_smoke.sh) can check bands without scraping stdout.
+// Row() records every paper-vs-measured row as it is printed, with an
+// optional Bound: the budget CI holds it to, written once at that call.
+// EmitJson() dumps the rows plus wall-clock time and simulation-event
+// throughput, checks every bound, and returns the bench's exit status.
+
+// Signed deviation of `measured` from `paper`, in percent (0 when the row
+// has no paper value).
+inline double DeltaPct(double paper, double measured) {
+  return paper != 0 ? (measured - paper) / paper * 100.0 : 0.0;
+}
+
+struct Bound {
+  enum class Kind { kNone, kAtMost, kPositiveAtMost, kAtLeast, kExactly, kWithinPct };
+  Kind kind = Kind::kNone;
+  double limit = 0.0;
+
+  // kWithinPct measures against the row's paper value, in both directions.
+  bool Holds(double paper, double measured) const {
+    switch (kind) {
+      case Kind::kNone:
+        return true;
+      case Kind::kAtMost:
+        return measured <= limit;
+      case Kind::kPositiveAtMost:
+        return measured > 0 && measured <= limit;
+      case Kind::kAtLeast:
+        return measured >= limit;
+      case Kind::kExactly:
+        return measured == limit;
+      case Kind::kWithinPct:
+        return std::fabs(DeltaPct(paper, measured)) <= limit;
+    }
+    return false;
+  }
+};
+
+inline Bound AtMost(double limit) { return {Bound::Kind::kAtMost, limit}; }
+// (0, limit]: something was measured, and it came in within the budget.
+inline Bound PositiveAtMost(double limit) { return {Bound::Kind::kPositiveAtMost, limit}; }
+inline Bound AtLeast(double limit) { return {Bound::Kind::kAtLeast, limit}; }
+inline Bound Exactly(double value) { return {Bound::Kind::kExactly, value}; }
+inline Bound WithinPct(double pct) { return {Bound::Kind::kWithinPct, pct}; }
 
 struct RowRec {
   std::string label;
   double paper = 0.0;
   double measured = 0.0;
   std::string unit;
+  Bound bound;
 };
 
 // One latency distribution (per path or per stage), in nanoseconds.
@@ -61,6 +103,9 @@ struct JsonState {
   std::vector<EngineCyclesRec> engine_cycles;
   uint64_t events_run = 0;
   uint64_t steady_allocs = 0;
+  // Set by EmitJson: the bench name and the events/sec it wrote.
+  std::string name;
+  double events_per_sec = 0.0;
   uint64_t seed = 0;
   bool has_run_info = false;
   std::string fault_plan;
@@ -139,11 +184,10 @@ inline void RowHeader() {
 }
 
 inline void Row(const std::string& label, double paper, double measured,
-                const char* unit = "Mpps") {
-  const double delta = paper != 0 ? (measured - paper) / paper * 100.0 : 0.0;
+                const char* unit = "Mpps", Bound bound = {}) {
   std::printf("%-44s %8.3f %-4s %8.3f %-4s %+6.1f%%\n", label.c_str(), paper, unit, measured,
-              unit, delta);
-  State().rows.push_back(RowRec{label, paper, measured, unit});
+              unit, DeltaPct(paper, measured));
+  State().rows.push_back(RowRec{label, paper, measured, unit, bound});
 }
 
 inline void Note(const std::string& text) { std::printf("  note: %s\n", text.c_str()); }
@@ -233,19 +277,45 @@ inline std::string JsonEscape(const std::string& s) {
   return out;
 }
 
+// Returns true when `r.measured` holds `r.bound`; otherwise prints a FAIL
+// line naming the bench (and seed), the row, its value and its bound.
+// EmitJson checks every row with it; a bench calls it directly for a value
+// that is not a row.
+inline bool Check(const RowRec& r) {
+  if (r.bound.Holds(r.paper, r.measured)) {
+    return true;
+  }
+  // Indexed by Bound::Kind; each format takes the limit, then the paper value.
+  static const char* const kBoundFormat[] = {"",      "<= %g", "in (0, %g]",
+                                             ">= %g", "== %g", "within +/-%g%% of %g"};
+  char bound[64];
+  std::snprintf(bound, sizeof(bound), kBoundFormat[static_cast<int>(r.bound.kind)],
+                r.bound.limit, r.paper);
+  const JsonState& st = State();
+  std::printf("FAIL %s", st.name.c_str());
+  if (st.has_run_info) {
+    std::printf(" seed 0x%" PRIx64, st.seed);
+  }
+  std::printf(": %s = %g %s, bound %s\n", r.label.c_str(), r.measured, r.unit.c_str(), bound);
+  return false;
+}
+
 // Writes BENCH_<name>.json in the current directory: every Row() emitted so
 // far, wall-clock time since the process started, and events/sec through
-// the simulation core. Call once, at the end of main().
-inline void EmitJson(const std::string& name) {
+// the simulation core. Then checks every row against its bound. Call once,
+// at the end of main(); returns 0 if the file was written and every row
+// holds its bound, 1 otherwise.
+inline int EmitJson(const std::string& name) {
   PrintObserverSections();
-  const JsonState& st = State();
+  JsonState& st = State();
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - st.start).count();
+  st.events_per_sec = wall > 0 ? static_cast<double>(st.events_run) / wall : 0.0;
   const std::string path = "BENCH_" + name + ".json";
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "bench: cannot write %s\n", path.c_str());
-    return;
+    return 1;
   }
   std::fprintf(f, "{\n  \"bench\": \"%s\",\n", JsonEscape(name).c_str());
   if (st.has_run_info) {
@@ -254,8 +324,7 @@ inline void EmitJson(const std::string& name) {
   }
   std::fprintf(f, "  \"wall_seconds\": %.3f,\n", wall);
   std::fprintf(f, "  \"events_run\": %llu,\n", static_cast<unsigned long long>(st.events_run));
-  std::fprintf(f, "  \"events_per_sec\": %.0f,\n",
-               wall > 0 ? static_cast<double>(st.events_run) / wall : 0.0);
+  std::fprintf(f, "  \"events_per_sec\": %.0f,\n", st.events_per_sec);
   std::fprintf(f, "  \"allocs\": %llu,\n", static_cast<unsigned long long>(AllocCount()));
   std::fprintf(f, "  \"steady_allocs\": %llu,\n",
                static_cast<unsigned long long>(st.steady_allocs));
@@ -295,16 +364,23 @@ inline void EmitJson(const std::string& name) {
   std::fprintf(f, "  \"rows\": [\n");
   for (size_t i = 0; i < st.rows.size(); ++i) {
     const RowRec& r = st.rows[i];
-    const double delta = r.paper != 0 ? (r.measured - r.paper) / r.paper * 100.0 : 0.0;
     std::fprintf(f,
                  "    {\"label\": \"%s\", \"paper\": %.6g, \"measured\": %.6g, "
                  "\"unit\": \"%s\", \"delta_pct\": %.2f}%s\n",
                  JsonEscape(r.label).c_str(), r.paper, r.measured, JsonEscape(r.unit).c_str(),
-                 delta, i + 1 < st.rows.size() ? "," : "");
+                 DeltaPct(r.paper, r.measured), i + 1 < st.rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
   std::printf("wrote %s\n", path.c_str());
+
+  // Only now: copying a long name allocates, which "allocs" must not count.
+  st.name = name;
+  bool ok = true;
+  for (const RowRec& r : st.rows) {
+    ok &= Check(r);
+  }
+  return ok ? 0 : 1;
 }
 
 }  // namespace bench

@@ -7,7 +7,8 @@
 // blackholes) hold at the end of every scenario. Every scenario runs on
 // one thread; the chaos scenario runs again at `--threads=N` (default 4)
 // and must reproduce the one-thread run bit for bit. Rows land in
-// BENCH_cluster_failover.json for ci/cluster_smoke.sh.
+// BENCH_cluster_failover.json, each held to its budget on every run
+// (ci/smoke.sh runs a seed matrix).
 
 #include <chrono>
 #include <cinttypes>
@@ -277,14 +278,20 @@ int main(int argc, char** argv) {
   const ScenarioResult crashed = Run(crash, seed, 1);
   check("node-crash", crashed);
   const KindStats node_down = StatsFor(crashed, ReconvergenceRecord::Kind::kNodeDown);
-  bench::Row("cluster: node-crash MTTD", 300.0, node_down.mttd_us, "us");
-  bench::Row("cluster: node-crash MTTR", 400.0, node_down.mttr_us, "us");
+  // MTTD/MTTR budgets: detection waits on the federated-health probe loop
+  // (node crash) or the OSPF-lite dead interval (link down); repair adds
+  // flooding and every survivor's SPF re-run; readmission is resync only.
+  bench::Row("cluster: node-crash MTTD", 300.0, node_down.mttd_us, "us",
+             bench::PositiveAtMost(300.0));
+  bench::Row("cluster: node-crash MTTR", 400.0, node_down.mttr_us, "us",
+             bench::PositiveAtMost(400.0));
   const double survivor_ratio =
       baseline.survivor_delivered > 0
           ? static_cast<double>(crashed.survivor_delivered) /
                 static_cast<double>(baseline.survivor_delivered)
           : 0.0;
-  bench::Row("cluster: survivor rate ratio after crash", 1.0, survivor_ratio, "x");
+  bench::Row("cluster: survivor rate ratio after crash", 1.0, survivor_ratio, "x",
+             bench::AtLeast(0.95));
   std::printf("  node-crash: %" PRIu64 " route withdrawals, %" PRIu64
               " ICMP unreachables shed, %" PRIu64 " health suspect(s)\n",
               crashed.routes_withdrawn, crashed.icmp_originated, crashed.suspects);
@@ -303,13 +310,16 @@ int main(int argc, char** argv) {
   const ScenarioResult linkdown = Run(link, seed, 1);
   check("link-down", linkdown);
   const KindStats link_stats = StatsFor(linkdown, ReconvergenceRecord::Kind::kLinkDown);
-  bench::Row("cluster: link-down MTTD", 450.0, link_stats.mttd_us, "us");
-  bench::Row("cluster: link-down MTTR", 500.0, link_stats.mttr_us, "us");
+  bench::Row("cluster: link-down MTTD", 450.0, link_stats.mttd_us, "us",
+             bench::PositiveAtMost(450.0));
+  bench::Row("cluster: link-down MTTR", 500.0, link_stats.mttr_us, "us",
+             bench::PositiveAtMost(500.0));
   const double link_ratio =
       baseline.victim_delivered > 0 ? static_cast<double>(linkdown.victim_delivered) /
                                           static_cast<double>(baseline.victim_delivered)
                                     : 0.0;
-  bench::Row("cluster: victim rate ratio during link-down", 1.0, link_ratio, "x");
+  bench::Row("cluster: victim rate ratio during link-down", 1.0, link_ratio, "x",
+             bench::AtLeast(0.95));
   all_ok = all_ok && link_stats.closed == 1;
 
   // Finite crash and warm-restart readmission: the node comes back, floods a
@@ -323,7 +333,8 @@ int main(int argc, char** argv) {
   const ScenarioResult readmitted = Run(readmit, seed, 1);
   check("readmit", readmitted);
   const KindStats readmit_stats = StatsFor(readmitted, ReconvergenceRecord::Kind::kNodeReadmit);
-  bench::Row("cluster: readmit MTTR", 300.0, readmit_stats.mttr_us, "us");
+  bench::Row("cluster: readmit MTTR", 300.0, readmit_stats.mttr_us, "us",
+             bench::PositiveAtMost(300.0));
   all_ok = all_ok && readmit_stats.closed == 1 && readmitted.victim_delivered > 0;
 
   // Fabric frame loss: random drops degrade delivery slightly but must not
@@ -336,7 +347,7 @@ int main(int argc, char** argv) {
   const uint64_t lossy_total = lossy.survivor_delivered + lossy.victim_delivered;
   const double loss_ratio =
       base_total > 0 ? static_cast<double>(lossy_total) / static_cast<double>(base_total) : 0.0;
-  bench::Row("cluster: fabric-loss delivery ratio", 1.0, loss_ratio, "x");
+  bench::Row("cluster: fabric-loss delivery ratio", 1.0, loss_ratio, "x", bench::AtLeast(0.95));
   all_ok = all_ok && lossy.records.empty();
 
   // Injector-driven chaos: every cluster fault class drawn from the derived
@@ -352,7 +363,7 @@ int main(int argc, char** argv) {
   const ScenarioResult chaotic = Run(chaos, seed, 1);
   check("chaos", chaotic);
   bench::Row("cluster: chaos open records at end", 0.0,
-             static_cast<double>(chaotic.open_records), "rec");
+             static_cast<double>(chaotic.open_records), "rec", bench::Exactly(0.0));
   std::printf(
       "  chaos: %zu reconvergence record(s), %" PRIu64 " spf re-runs, %" PRIu64
       " route withdrawals, %" PRIu64 " ICMP unreachables\n",
@@ -363,11 +374,10 @@ int main(int argc, char** argv) {
   check("chaos (parallel)", parallel);
   const bool sharded_deterministic = chaotic.fingerprint == parallel.fingerprint;
   if (!sharded_deterministic) {
-    all_ok = false;
     std::printf("  sharded chaos DIVERGENCE:\n    t=1: %s\n    t=%d: %s\n",
                 chaotic.fingerprint.c_str(), sharded_threads, parallel.fingerprint.c_str());
   }
-  all_ok = all_ok && chaotic.open_records == 0 && parallel.open_records == 0;
+  all_ok = all_ok && parallel.open_records == 0;
   bench::Row("cluster: sharded chaos wall t=1", 0.0, chaotic.wall_s, "s");
   char sharded_label[64];
   std::snprintf(sharded_label, sizeof(sharded_label), "cluster: sharded chaos wall t=%d",
@@ -376,13 +386,13 @@ int main(int argc, char** argv) {
   bench::Row("cluster: sharded chaos speedup", 0.0,
              parallel.wall_s > 0 ? chaotic.wall_s / parallel.wall_s : 0.0, "x");
   bench::Row("cluster: sharded chaos deterministic", 1.0,
-             sharded_deterministic ? 1.0 : 0.0, "bool");
+             sharded_deterministic ? 1.0 : 0.0, "bool", bench::Exactly(1.0));
 
   bench::Note("MTTD = fault to first dead-interval declaration; MTTR = fault to the");
   bench::Note("last surviving node's SPF re-run. The survivor ratio compares the three");
   bench::Note("surviving nodes' measure-window deliveries against their fault-free run;");
-  bench::Note("ci/cluster_smoke.sh holds every row to its budget across a seed matrix.");
+  bench::Note("a row outside its budget fails the run; ci/smoke.sh runs three seeds.");
 
-  bench::EmitJson("cluster_failover");
-  return all_ok ? 0 : 1;
+  const int status = bench::EmitJson("cluster_failover");
+  return all_ok ? status : 1;
 }

@@ -7,9 +7,11 @@
 // workload per thread count, wall-clock and speedup rows, and a fingerprint
 // check that every run is bit-identical. Both sections use one runner (one
 // engine per node, 2 µs fabric latency; docs/perf.md, "Sharded cluster
-// simulation"). `--threads=N` caps the thread ladder (default 8);
-// ci/perf_smoke.sh holds the speedup row to a floor when the host has
-// enough cores.
+// simulation"). `--threads=N` caps the thread ladder (default 8); the
+// speedup row is held to a floor when the host has a core for every thread
+// (ci/smoke.sh passes the host's core count, capped at 8).
+
+#include <sched.h>
 
 #include <chrono>
 #include <cstdlib>
@@ -144,6 +146,12 @@ ClusterRun Run(int nodes, int threads, double remote_fraction, double warm_ms,
   return run;
 }
 
+// Cores this process may run on, as nproc reports them.
+int HostCores() {
+  cpu_set_t set;
+  return sched_getaffinity(0, sizeof(set), &set) == 0 ? CPU_COUNT(&set) : 1;
+}
+
 }  // namespace
 }  // namespace npr
 
@@ -211,13 +219,19 @@ int main(int argc, char** argv) {
       Row("sharded goodput", 0, run.goodput_kpps, "Kpps");
     }
   }
-  Row("sharded threads", 0, static_cast<double>(ladder.back()), "thr");
-  Row("sharded speedup", 0, wall_last > 0 ? wall_t1 / wall_last : 0.0, "x");
-  Row("sharded deterministic", 1.0, deterministic ? 1.0 : 0.0, "bool");
+  // Speedup floor, only when the host has a core per thread: oversubscribed
+  // workers show determinism, not speedup. The barrier ending every 2 us
+  // window (not the hub, ~0.5% of the events) caps the speedup, so 8+
+  // threads must land 3x (the docs/perf.md target), 2-7 half their count.
+  const int top = ladder.back();
+  const Bound speedup_floor =
+      top >= 2 && top <= HostCores() ? AtLeast(top >= 8 ? 3.0 : top / 2.0) : Bound{};
+  Row("sharded threads", 0, static_cast<double>(top), "thr");
+  Row("sharded speedup", 0, wall_last > 0 ? wall_t1 / wall_last : 0.0, "x", speedup_floor);
+  Row("sharded deterministic", 1.0, deterministic ? 1.0 : 0.0, "bool", Exactly(1.0));
   Note("the speedup row compares the largest thread count against t=1 on the");
   Note("same sharded configuration; the deterministic row is 1 only if every");
   Note("thread count produced a bit-identical run fingerprint.");
 
-  bench::EmitJson("cluster_scale");
-  return deterministic ? 0 : 1;
+  return bench::EmitJson("cluster_scale");
 }

@@ -6,8 +6,8 @@
 // The recovery suite attaches the health monitor and reports MTTD/MTTR per
 // fault class (token loss, lost context restarts, Pentium hangs) plus the
 // path-A rate ratio after a RecoveryChaos burst ends — the self-healing
-// acceptance numbers, emitted as rows in BENCH_fault_chaos.json for
-// ci/chaos_smoke.sh.
+// acceptance numbers, each row bounded by its budget (ci/smoke.sh runs a
+// seed matrix).
 
 #include <cinttypes>
 #include <cstdlib>
@@ -225,8 +225,8 @@ ChaosRecovery RunChaosRecovery(uint64_t seed) {
 int main(int argc, char** argv) {
   using namespace npr;
 
-  // Optional seed (ci/chaos_smoke.sh runs a small matrix): every plan in
-  // both suites is re-seeded; every seed must survive.
+  // Optional seed (ci/smoke.sh runs a small matrix): every plan in both
+  // suites is re-seeded; every seed must survive and hold the budgets.
   const uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 0) : 0xfa017ULL;
   bench::SetRunInfo(seed, "chaos+recovery");
 
@@ -264,9 +264,9 @@ int main(int argc, char** argv) {
   bench::Note("leak a packet from the conservation balance, or corrupt queue state.");
 
   // --- self-healing: detection and recovery per fault class ---
-  // The "paper" column is the repair budget implied by the HealthConfig
-  // deadlines (deadline + watchdog granularity; for Pentium hangs, the
-  // injected hang length dominates MTTR).
+  // The "paper" column is the expected value: the HealthConfig deadline
+  // plus about one watchdog scan (for Pentium hangs, the injected hang
+  // length dominates MTTR). The bound is the budget.
   bench::Title("self-healing: MTTD / MTTR per fault class (health monitor attached)");
   bench::RowHeader();
 
@@ -274,8 +274,10 @@ int main(int argc, char** argv) {
   token_plan.seed = seed;
   token_plan.token_lost_p = 5e-5;
   const RecoverySummary token = RunRecovery(token_plan, RecoveryEvent::Kind::kTokenRegen);
-  bench::Row("recovery: token regen MTTD", 250.0, token.mttd_us, "us");
-  bench::Row("recovery: token regen MTTR", 250.0, token.mttr_us, "us");
+  bench::Row("recovery: token regen MTTD", 250.0, token.mttd_us, "us",
+             bench::PositiveAtMost(300.0));
+  bench::Row("recovery: token regen MTTR", 250.0, token.mttr_us, "us",
+             bench::PositiveAtMost(1000.0));
 
   FaultPlan ctx_plan;
   ctx_plan.seed = seed;
@@ -283,15 +285,20 @@ int main(int argc, char** argv) {
   ctx_plan.context_restart_ps = 50 * kPsPerUs;
   ctx_plan.restart_lost_p = 1.0;  // only the watchdog can bring contexts back
   const RecoverySummary ctx = RunRecovery(ctx_plan, RecoveryEvent::Kind::kContextRestore);
-  bench::Row("recovery: context restore MTTD", 600.0, ctx.mttd_us, "us");
-  bench::Row("recovery: context restore MTTR", 600.0, ctx.mttr_us, "us");
+  bench::Row("recovery: context restore MTTD", 600.0, ctx.mttd_us, "us",
+             bench::PositiveAtMost(700.0));
+  bench::Row("recovery: context restore MTTR", 600.0, ctx.mttr_us, "us",
+             bench::PositiveAtMost(2000.0));
 
   const RecoverySummary pe = RunPentiumRecovery();
-  bench::Row("recovery: pentium degrade MTTD", 350.0, pe.mttd_us, "us");
-  bench::Row("recovery: pentium degrade MTTR", 2500.0, pe.mttr_us, "us");
+  bench::Row("recovery: pentium degrade MTTD", 350.0, pe.mttd_us, "us",
+             bench::PositiveAtMost(400.0));
+  bench::Row("recovery: pentium degrade MTTR", 2500.0, pe.mttr_us, "us",
+             bench::PositiveAtMost(2500.0));
 
   const ChaosRecovery chaos = RunChaosRecovery(seed);
-  bench::Row("recovery: path-A rate ratio after chaos", 1.0, chaos.ratio, "x");
+  bench::Row("recovery: path-A rate ratio after chaos", 1.0, chaos.ratio, "x",
+             bench::AtLeast(0.95));
 
   std::printf("  events recovered: token %d, context %d, pentium %d (%d still degraded)\n",
               token.recovered, ctx.recovered, pe.recovered, pe.unrecovered);
@@ -299,14 +306,12 @@ int main(int argc, char** argv) {
   bench::Note("MTTD = fault to watchdog detection; MTTR = fault to service restored.");
   bench::Note("the ratio row is path-A throughput after the chaos burst ends vs fault-free.");
 
-  // Permanent stalls, post-recovery invariant violations, or a dead class
-  // fail the bench; ci/chaos_smoke.sh additionally holds the JSON rows to
-  // their budgets.
+  // Permanent stalls, post-recovery invariant violations, a dead class, or
+  // a row over its budget fail the bench.
   all_ok = all_ok && token.invariants_ok && ctx.invariants_ok && pe.invariants_ok &&
            chaos.invariants_ok;
   all_ok = all_ok && token.recovered > 0 && ctx.recovered > 0 && pe.recovered > 0;
-  all_ok = all_ok && chaos.ratio >= 0.9;
 
-  bench::EmitJson("fault_chaos");
-  return all_ok ? 0 : 1;
+  const int status = bench::EmitJson("fault_chaos");
+  return all_ok ? status : 1;
 }

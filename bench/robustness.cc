@@ -20,7 +20,8 @@
 // degradation contract as paper-vs-measured rows: conforming goodput within
 // 10% of fault-free, control-plane delivery at 100%, every governor drop
 // attributed, and an 8-node flooded cluster with zero spurious
-// reconvergences. ci/chaos_smoke.sh enforces the budgets on these rows.
+// reconvergences. Each of these rows carries its budget as a bound, and a
+// row outside it fails the bench.
 
 #include <atomic>
 
@@ -388,7 +389,7 @@ ClusterFloodPoint RunClusterFlood() {
 // in flow state; two copies stay in lockstep iff their state agrees, which
 // is what the shadow/soak comparisons and the bit-identity rows exercise.
 // (bench/upgrade is the full acceptance bench; these rows are the
-// robustness-suite summary ci/upgrade_smoke.sh cross-checks.)
+// robustness-suite summary, bounded to the same exact values.)
 VrpProgram UpgradeParityQueue(int32_t counter_offset, uint32_t state_bytes,
                               const char* name) {
   VrpProgram p;
@@ -566,16 +567,18 @@ int main() {
     Row(std::string("overload: conforming goodput ratio (") + AdversarialName(mode) + ")", 1.0,
         static_cast<double>(p.conforming_delivered) /
             static_cast<double>(calm.conforming_delivered),
-        "ratio");
+        "ratio", AtLeast(0.9));
   }
   Row("overload: control delivery under flood", 100.0,
       flood.control_sent > 0 ? 100.0 * static_cast<double>(flood.control_bridged) /
                                    static_cast<double>(flood.control_sent)
                              : 0.0,
-      "%");
+      "%", Exactly(100.0));
   Row("overload: control frames shed by governor", 0.0,
-      static_cast<double>(flood.control_sent - flood.control_admitted), "frames");
-  Row("overload: drop attribution reconciled", 1.0, attribution_ok ? 1.0 : 0.0, "bool");
+      static_cast<double>(flood.control_sent - flood.control_admitted), "frames",
+      Exactly(0.0));
+  Row("overload: drop attribution reconciled", 1.0, attribution_ok ? 1.0 : 0.0, "bool",
+      Exactly(1.0));
   Note("conforming goodput is deliveries on the uncontended port: the governor's");
   Note("RED / policing / quench losses land on the flooded ports only. Control");
   Note("frames arrive through flooded port 1 and every one crosses to the Pentium");
@@ -588,9 +591,11 @@ int main() {
               static_cast<unsigned long long>(cf.delivered), cf.nodes_up);
   RowHeader();
   Row("overload: spurious reconvergences under flood", 0.0,
-      static_cast<double>(cf.reconvergences), "events");
-  Row("overload: suspects raised under flood", 0.0, static_cast<double>(cf.suspects), "events");
-  Row("overload: nodes up after flood", 8.0, static_cast<double>(cf.nodes_up), "nodes");
+      static_cast<double>(cf.reconvergences), "events", Exactly(0.0));
+  Row("overload: suspects raised under flood", 0.0, static_cast<double>(cf.suspects), "events",
+      Exactly(0.0));
+  Row("overload: nodes up after flood", 8.0, static_cast<double>(cf.nodes_up), "nodes",
+      Exactly(8.0));
   Note("every node's governor is pressured (~3 line-rate ingress streams against");
   Note("~2.3 streams of path-A capacity), yet hellos and health probes ride the");
   Note("carve-out: overload never masquerades as node death.");
@@ -618,17 +623,16 @@ int main() {
       up_control.decisions.size() == up_byz.decisions.size() && last_diff + 100 < n;
   RowHeader();
   Row("upgrade: conforming packets lost (in-service)", 0.0, static_cast<double>(up_lost),
-      "pkts");
+      "pkts", Exactly(0.0));
   Row("upgrade: hitless run bit-identical to control", 1.0,
-      hitless_identical ? 1.0 : 0.0, "bool");
+      hitless_identical ? 1.0 : 0.0, "bool", Exactly(1.0));
   Row("upgrade: byzantine image rolled back bit-identically", 1.0,
-      rollback_identical && up_byz.invariants_ok ? 1.0 : 0.0, "bool");
+      rollback_identical && up_byz.invariants_ok ? 1.0 : 0.0, "bool", Exactly(1.0));
   Note("shadow validation, atomic cutover through a state-layout migration, and");
   Note("soak-guarded promotion: the upgraded run forwards every conforming packet");
   Note("with the same per-packet decisions as a never-upgraded run, and a bad");
   Note("image rolls back to a bit-identical stream (bench/upgrade has the full");
   Note("MTTD/MTTR and 8-node rolling-upgrade acceptance rows).");
 
-  bench::EmitJson("robustness");
-  return 0;
+  return bench::EmitJson("robustness");
 }

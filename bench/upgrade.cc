@@ -1,7 +1,7 @@
 // Hitless in-service upgrade bench: the acceptance numbers for the upgrade
 // orchestrator (src/core/upgrade.h) and the cluster rolling upgrade
-// (src/health/rolling_upgrade.h), emitted as rows in BENCH_upgrade.json for
-// ci/upgrade_smoke.sh.
+// (src/health/rolling_upgrade.h), emitted as rows in BENCH_upgrade.json,
+// each held to its budget on every run (ci/smoke.sh runs a seed matrix).
 //
 // Three experiments:
 //   1. hitless — a stateful MicroEngine forwarder is upgraded under live
@@ -276,8 +276,8 @@ int main(int argc, char** argv) {
   using namespace npr;
   using namespace npr::bench;
 
-  // Optional seed (ci/upgrade_smoke.sh runs a small matrix); it reseeds the
-  // traffic and the fault draws, and every seed must hold the budgets.
+  // Optional seed (ci/smoke.sh runs a small matrix); it reseeds the traffic
+  // and the fault draws, and every seed must hold the budgets.
   const uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 0) : 0xfa017ULL;
   SetRunInfo(seed, "upgrade");
   bool all_ok = true;
@@ -303,15 +303,16 @@ int main(int argc, char** argv) {
   }
   decision_diffs += control.decisions.size() - common + hitless.decisions.size() - common;
   RowHeader();
-  Row("upgrade: conforming packets lost (hitless)", 0.0, static_cast<double>(lost), "pkts");
+  Row("upgrade: conforming packets lost (hitless)", 0.0, static_cast<double>(lost), "pkts",
+      Exactly(0.0));
   Row("upgrade: decision-stream divergences (hitless)", 0.0,
-      static_cast<double>(decision_diffs), "pkts");
+      static_cast<double>(decision_diffs), "pkts", Exactly(0.0));
   Row("upgrade: shadow divergence rate", 0.0,
       hitless.report.shadow_packets > 0
           ? static_cast<double>(hitless.report.shadow_divergences) /
                 static_cast<double>(hitless.report.shadow_packets)
           : 1.0,
-      "ratio");
+      "ratio", Exactly(0.0));
   Row("upgrade: cutover pause", 200.0,
       static_cast<double>(hitless.report.cutover_pause_cycles), "cycles");
   std::printf("  phase %s, %" PRIu64 " shadow + %" PRIu64 " soak packets, %" PRIu64
@@ -321,8 +322,8 @@ int main(int argc, char** argv) {
   Note("paper pause = (1 old + 2 new state words + image flip + table repoint)");
   Note("x 40 cycles, the §4.5 StrongARM access cost; the double-buffered image");
   Note("itself was staged outside the atomic window and costs it nothing.");
-  all_ok = all_ok && hitless.phase == UpgradePhase::kPromoted && lost == 0 &&
-           decision_diffs == 0 && control.invariants_ok && hitless.invariants_ok;
+  all_ok = all_ok && hitless.phase == UpgradePhase::kPromoted && control.invariants_ok &&
+           hitless.invariants_ok;
 
   // --- experiment 2: byzantine image, soak rollback ---
   Title("auto-rollback — byzantine image goes bad in soak");
@@ -347,18 +348,20 @@ int main(int argc, char** argv) {
   }
   const bool suffix_identical = control.decisions.size() == byz.decisions.size() &&
                                 any_diff && last_diff + 100 < n;
+  // The "paper" column is the expected value: the soak evidence bar
+  // (soak_min_packets at the bench traffic rate) plus one probe period; the
+  // revert runs in the same event. The bound is the budget.
   RowHeader();
-  Row("upgrade: rollback MTTD", 250.0, mttd_us, "us");
-  Row("upgrade: rollback MTTR", 300.0, mttr_us, "us");
+  Row("upgrade: rollback MTTD", 250.0, mttd_us, "us", PositiveAtMost(400.0));
+  Row("upgrade: rollback MTTR", 300.0, mttr_us, "us", PositiveAtMost(500.0));
   Row("upgrade: post-rollback stream bit-identical", 1.0, suffix_identical ? 1.0 : 0.0,
-      "bool");
+      "bool", Exactly(1.0));
   std::printf("  phase %s, %zu rollback episode(s), last divergence at decision %zu/%zu\n",
               UpgradePhaseName(byz.phase), byz.rollbacks.size(), last_diff, n);
   Note("MTTD = first diverged packet to the rollback decision (gated by the");
   Note("soak evidence bar); MTTR adds the revert itself. The soak shadow kept");
   Note("the retained state current, so recovery realigns bit-for-bit.");
-  all_ok = all_ok && byz.phase == UpgradePhase::kRolledBack && suffix_identical &&
-           byz.invariants_ok;
+  all_ok = all_ok && byz.phase == UpgradePhase::kRolledBack && byz.invariants_ok;
 
   // --- experiment 3: cluster rolling upgrade ---
   Title("rolling upgrade — 8-node sharded cluster");
@@ -374,16 +377,16 @@ int main(int argc, char** argv) {
        chaos.on_new_image == 0);
   RowHeader();
   Row("upgrade: rolling nodes promoted (lossy channel)", 8.0,
-      static_cast<double>(clean.promoted), "nodes");
+      static_cast<double>(clean.promoted), "nodes", Exactly(8.0));
   Row("upgrade: rolling delivery ratio vs no-upgrade run", 1.0,
       base.delivered > 0
           ? static_cast<double>(clean.delivered) / static_cast<double>(base.delivered)
           : 0.0,
-      "ratio");
+      "ratio", Exactly(1.0));
   Row("upgrade: rolling version-consistent under full chaos", 1.0,
-      chaos_consistent ? 1.0 : 0.0, "bool");
+      chaos_consistent ? 1.0 : 0.0, "bool", Exactly(1.0));
   Row("upgrade: suspects raised during rolling upgrades", 0.0,
-      static_cast<double>(clean.suspects + chaos.suspects), "events");
+      static_cast<double>(clean.suspects + chaos.suspects), "events", Exactly(0.0));
   std::printf("  lossy: %s, %d/8 promoted, %" PRIu64 " image resends, %" PRIu64
               " delivered (control %" PRIu64 ")\n",
               RollingUpgradeCoordinator::StatusName(clean.status), clean.promoted, clean.resends,
@@ -395,10 +398,8 @@ int main(int argc, char** argv) {
   Note("full chaos adds lost cutover steps (25%): the rollout may complete or");
   Note("abort, but the cluster must end version-consistent and no upgrade may");
   Note("ever be mistaken for a node death.");
-  all_ok = all_ok && clean.promoted == 8 && chaos_consistent &&
-           clean.suspects + chaos.suspects == 0 && base.invariants_ok &&
-           clean.invariants_ok && chaos.invariants_ok;
+  all_ok = all_ok && base.invariants_ok && clean.invariants_ok && chaos.invariants_ok;
 
-  EmitJson("upgrade");
-  return all_ok ? 0 : 1;
+  const int status = EmitJson("upgrade");
+  return all_ok ? status : 1;
 }

@@ -16,7 +16,9 @@ build_dir="${1:-$repo_root/build-cov}"
 
 cmake -B "$build_dir" -S "$repo_root" -DNPR_COVERAGE=ON -DCMAKE_BUILD_TYPE=Debug
 cmake --build "$build_dir" -j "$(nproc)"
-ctest --test-dir "$build_dir" -j "$(nproc)" --output-on-failure >/dev/null
+# Quiet when every test passes; a failing test prints ctest's log and stops.
+ctest --test-dir "$build_dir" -j "$(nproc)" --output-on-failure >"$build_dir/ctest.log" 2>&1 ||
+  { cat "$build_dir/ctest.log"; echo "coverage: ctest failed" >&2; exit 1; }
 
 python3 - "$repo_root" "$build_dir" <<'EOF'
 import collections
