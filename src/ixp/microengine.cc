@@ -76,7 +76,9 @@ void HwContext::MemAwaiter::await_suspend(std::coroutine_handle<> h) {
 #if defined(NPR_OBS_ENABLED)
   c->wait_class_ = static_cast<WaitClass>(channel->config().profile_class);
 #endif
-  channel->Issue(bytes, is_write, [c] { c->MakeReady(); });
+  const SimTime done_at = channel->Issue(bytes, is_write, nullptr);
+  c->me_.engine_.ScheduleRaw(done_at, [](void* ctx) { static_cast<HwContext*>(ctx)->MakeReady(); },
+                             c);
   c->me_.OnBlocked(c);
 }
 
@@ -129,7 +131,11 @@ double MicroEngine::Utilization(SimTime window_start) const {
 void MicroEngine::EnqueueReady(HwContext* ctx) {
   assert(ctx->state_ == HwContext::State::kReady);
   assert(ready_count_ < ready_ring_.size());
-  ready_ring_[(ready_head_ + ready_count_) % ready_ring_.size()] = ctx;
+  size_t tail = ready_head_ + ready_count_;
+  if (tail >= ready_ring_.size()) {
+    tail -= ready_ring_.size();
+  }
+  ready_ring_[tail] = ctx;
   ++ready_count_;
   if (running_ == nullptr) {
     Dispatch();

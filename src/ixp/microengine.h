@@ -190,10 +190,13 @@ class MicroEngine {
 
   // The ready queue is a fixed ring: a context is enqueued at most once, so
   // capacity == num_contexts and push/pop are two index updates (this is
-  // the engine's hottest path — every swap goes through it).
+  // the engine's hottest path — every swap goes through it). Indices wrap
+  // by compare-and-subtract, not `%`, which would cost a division per swap.
   HwContext* PopReady() {
     HwContext* ctx = ready_ring_[ready_head_];
-    ready_head_ = (ready_head_ + 1) % ready_ring_.size();
+    if (++ready_head_ == ready_ring_.size()) {
+      ready_head_ = 0;
+    }
     --ready_count_;
     return ctx;
   }

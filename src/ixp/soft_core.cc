@@ -24,7 +24,7 @@ void SoftCore::ComputeAwaiter::await_suspend(std::coroutine_handle<> h) {
 }
 
 void SoftCore::MemAwaiter::await_suspend(std::coroutine_handle<> h) {
-  channel->Issue(bytes, is_write, EventFn::Resume(h));
+  core->engine_.ScheduleResume(channel->Issue(bytes, is_write, nullptr), h);
 }
 
 void SoftCore::BlockAwaiter::await_suspend(std::coroutine_handle<> h) {

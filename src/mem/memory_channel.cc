@@ -19,11 +19,12 @@ SimTime MemoryChannel::Occupancy(uint32_t bytes) const {
   return static_cast<SimTime>(bus_cycles) * config_.bus_cycle_ps;
 }
 
-SimTime MemoryChannel::IssueAt(SimTime virtual_now, uint32_t bytes, bool is_write,
-                               EventFn done) {
+SimTime MemoryChannel::IssueAt(uint32_t bytes, bool is_write) {
   assert(bytes > 0);
-  const SimTime start = virtual_now + GrantWait(virtual_now);
-  queue_wait_.Add(static_cast<uint64_t>(start - virtual_now));
+  const SimTime wait = GrantWait(engine_.now());
+  queue_wait_sum_ps_ += wait;
+  queue_wait_max_ps_ = std::max(queue_wait_max_ps_, wait);
+  const SimTime start = engine_.now() + wait;
   const SimTime occupancy = Occupancy(bytes);
   busy_until_ = start + occupancy;
   busy_accum_ += occupancy;
@@ -46,24 +47,16 @@ SimTime MemoryChannel::IssueAt(SimTime virtual_now, uint32_t bytes, bool is_writ
     ++reads_;
   }
   bytes_moved_ += bytes;
-
-  if (done) {
-    engine_.Schedule(done_at, std::move(done));
-  }
   return done_at;
-}
-
-SimTime MemoryChannel::Issue(uint32_t bytes, bool is_write, EventFn done) {
-  return IssueAt(engine_.now(), bytes, is_write, std::move(done));
 }
 
 SimTime MemoryChannel::IssueBurst(uint32_t n, uint32_t bytes_each, bool is_write,
                                   EventFn done) {
   assert(n > 0);
   for (uint32_t i = 1; i < n; ++i) {
-    IssueAt(engine_.now(), bytes_each, is_write, EventFn());
+    IssueAt(bytes_each, is_write);
   }
-  return IssueAt(engine_.now(), bytes_each, is_write, std::move(done));
+  return Issue(bytes_each, is_write, std::move(done));
 }
 
 SimTime MemoryChannel::PeekLatency(uint32_t bytes, bool is_write) const {
@@ -87,7 +80,8 @@ void MemoryChannel::ResetStats() {
   writes_ = 0;
   bytes_moved_ = 0;
   busy_accum_ = 0;
-  queue_wait_.Reset();
+  queue_wait_sum_ps_ = 0;
+  queue_wait_max_ps_ = 0;
 }
 
 }  // namespace npr

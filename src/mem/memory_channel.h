@@ -12,10 +12,10 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "src/sim/event_fn.h"
 #include "src/sim/event_queue.h"
-#include "src/sim/stats.h"
 #include "src/sim/time.h"
 
 namespace npr {
@@ -46,8 +46,17 @@ class MemoryChannel {
 
   // Issues an access of `bytes` bytes. `done` runs (via the event queue)
   // when the access completes; it may be empty for posted writes the issuer
-  // does not wait on. Returns the completion time.
-  SimTime Issue(uint32_t bytes, bool is_write, EventFn done);
+  // does not wait on. Returns the completion time. Hot issuers pass no
+  // `done` and schedule their own wake-up at the returned time (ScheduleRaw
+  // or ScheduleResume): Issue schedules nothing else, so the wake-up gets
+  // the sequence number `done` would have had.
+  SimTime Issue(uint32_t bytes, bool is_write, EventFn done) {
+    const SimTime done_at = IssueAt(bytes, is_write);
+    if (done) {
+      engine_.Schedule(done_at, std::move(done));
+    }
+    return done_at;
+  }
 
   // Coalesces `n` back-to-back accesses of `bytes_each` issued at this
   // instant into one scheduled event: the per-access arithmetic (queue-wait
@@ -78,8 +87,11 @@ class MemoryChannel {
   uint64_t bytes_moved() const { return bytes_moved_; }
   // Fraction of [window_start, now] the bus spent busy.
   double Utilization(SimTime window_start) const;
-  // Distribution of queueing delay (time from issue to bus grant), in ps.
-  const Histogram& queue_wait() const { return queue_wait_; }
+  // Queueing delay (time from issue to bus grant) over every access since
+  // the last ResetStats, in ps: one sample per access, so there are
+  // reads() + writes() of them.
+  SimTime queue_wait_sum_ps() const { return queue_wait_sum_ps_; }
+  SimTime queue_wait_max_ps() const { return queue_wait_max_ps_; }
 
   void ResetStats();
 
@@ -88,7 +100,9 @@ class MemoryChannel {
   // The single definition of "when does the bus grant an access issued at
   // `at`": both Issue and PeekLatency go through here.
   SimTime GrantWait(SimTime at) const { return busy_until_ > at ? busy_until_ - at : 0; }
-  SimTime IssueAt(SimTime virtual_now, uint32_t bytes, bool is_write, EventFn done);
+  // Books one access at now() on the busy timeline and the counters;
+  // returns its completion time. Schedules nothing.
+  SimTime IssueAt(uint32_t bytes, bool is_write);
 
   EventQueue& engine_;
   MemoryChannelConfig config_;
@@ -99,7 +113,8 @@ class MemoryChannel {
   uint64_t reads_ = 0;
   uint64_t writes_ = 0;
   uint64_t bytes_moved_ = 0;
-  Histogram queue_wait_;
+  SimTime queue_wait_sum_ps_ = 0;
+  SimTime queue_wait_max_ps_ = 0;
 };
 
 }  // namespace npr

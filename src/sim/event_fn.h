@@ -6,14 +6,19 @@
 // always pays a manager-function indirection; EventFn instead stores small
 // trivially-copyable callables inline in the event node, has dedicated
 // representations for `fn-ptr + context` and `coroutine_handle` (the two hot
-// shapes), and boxes only large per-frame captures (e.g. a Packet moved into
-// a MAC completion) on the heap.
+// shapes), and boxes on the heap any callable that is larger than
+// kInlineBytes, over-aligned, or not trivially copyable and destructible
+// (e.g. a lambda capturing a Packet or a shared_ptr).
 //
-// EventFn is move-only: events are scheduled once and run once.
+// EventFn is move-only: events are scheduled once and run once. The
+// Emplace* members construct a callable in an empty EventFn; EventQueue uses
+// them to write each callback once, straight into the pooled node that runs
+// it, so the hot scheduling paths never build an EventFn and move it.
 
 #ifndef SRC_SIM_EVENT_FN_H_
 #define SRC_SIM_EVENT_FN_H_
 
+#include <cassert>
 #include <coroutine>
 #include <cstddef>
 #include <cstring>
@@ -33,49 +38,20 @@ class EventFn {
   EventFn(std::nullptr_t) noexcept {}  // NOLINT(google-explicit-constructor)
 
   // Raw fast path: a plain function pointer plus context, no type erasure.
-  EventFn(void (*fn)(void*), void* ctx) noexcept {
-    const RawThunk thunk{fn, ctx};
-    std::memcpy(buf_, &thunk, sizeof(thunk));
-    invoke_ = &InvokeRaw;
-  }
+  EventFn(void (*fn)(void*), void* ctx) noexcept { EmplaceRaw(fn, ctx); }
 
-  // Coroutine fast path: resumes `h` when the event fires.
-  static EventFn Resume(std::coroutine_handle<> h) noexcept {
-    EventFn fn;
-    void* addr = h.address();
-    std::memcpy(fn.buf_, &addr, sizeof(addr));
-    fn.invoke_ = &InvokeCoro;
-    return fn;
-  }
-
-  // Generic callables. Small trivially-copyable ones are stored inline;
-  // anything else is boxed on the heap (cold, per-frame paths only).
+  // Generic callables (see Emplace).
   template <typename F,
             typename = std::enable_if_t<!std::is_same_v<std::decay_t<F>, EventFn> &&
                                         !std::is_same_v<std::decay_t<F>, std::nullptr_t> &&
                                         std::is_invocable_v<std::decay_t<F>&>>>
   EventFn(F&& f) {  // NOLINT(google-explicit-constructor)
-    using D = std::decay_t<F>;
-    if constexpr (sizeof(D) <= kInlineBytes && alignof(D) <= alignof(void*) &&
-                  std::is_trivially_copyable_v<D> && std::is_trivially_destructible_v<D>) {
-      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
-      invoke_ = &InvokeInline<D>;
-    } else {
-      D* boxed = new D(std::forward<F>(f));
-      std::memcpy(buf_, &boxed, sizeof(boxed));
-      invoke_ = &InvokeBoxed<D>;
-      destroy_ = &DestroyBoxed<D>;
-    }
+    Emplace(std::forward<F>(f));
   }
 
+  // Not assignable: a callback is written once, by a constructor or an
+  // Emplace* member, and moves only into a fresh EventFn.
   EventFn(EventFn&& other) noexcept { MoveFrom(other); }
-  EventFn& operator=(EventFn&& other) noexcept {
-    if (this != &other) {
-      Reset();
-      MoveFrom(other);
-    }
-    return *this;
-  }
   EventFn(const EventFn&) = delete;
   EventFn& operator=(const EventFn&) = delete;
 
@@ -86,14 +62,54 @@ class EventFn {
   // Runs the callable. The callable must be non-empty and not moved-from.
   void operator()() { invoke_(this); }
 
-  // Destroys the callable (if any) and leaves the EventFn empty. Cheaper
-  // than assigning EventFn() when the storage is about to be reused.
+  // Destroys the callable (if any) and leaves the EventFn empty, ready for
+  // an Emplace* call (how the event queue recycles a node).
   void Reset() noexcept {
     if (destroy_ != nullptr) {
       destroy_(this);
     }
     invoke_ = nullptr;
     destroy_ = nullptr;
+  }
+
+  // In-place construction. Each requires an empty EventFn (default-built or
+  // Reset) and writes the callable's representation exactly once.
+  void EmplaceRaw(void (*fn)(void*), void* ctx) noexcept {
+    assert(!*this && "EventFn already holds a callable");
+    const RawThunk thunk{fn, ctx};
+    std::memcpy(buf_, &thunk, sizeof(thunk));
+    invoke_ = &InvokeRaw;
+  }
+
+  // Resumes `h` when invoked.
+  void EmplaceResume(std::coroutine_handle<> h) noexcept {
+    assert(!*this && "EventFn already holds a callable");
+    void* addr = h.address();
+    std::memcpy(buf_, &addr, sizeof(addr));
+    invoke_ = &InvokeCoro;
+  }
+
+  // Any callable. An rvalue EventFn is moved in; small trivially-copyable
+  // callables are stored inline; anything else is boxed on the heap (cold,
+  // per-frame paths only).
+  template <typename F>
+  void Emplace(F&& f) {
+    using D = std::decay_t<F>;
+    assert(!*this && "EventFn already holds a callable");
+    if constexpr (std::is_same_v<D, EventFn>) {
+      static_assert(!std::is_lvalue_reference_v<F>, "EventFn is move-only");
+      MoveFrom(f);
+    } else if constexpr (sizeof(D) <= kInlineBytes && alignof(D) <= alignof(void*) &&
+                         std::is_trivially_copyable_v<D> &&
+                         std::is_trivially_destructible_v<D>) {
+      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
+      invoke_ = &InvokeInline<D>;
+    } else {
+      D* boxed = new D(std::forward<F>(f));
+      std::memcpy(buf_, &boxed, sizeof(boxed));
+      invoke_ = &InvokeBoxed<D>;
+      destroy_ = &DestroyBoxed<D>;
+    }
   }
 
  private:

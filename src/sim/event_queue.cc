@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <utility>
 
 #include "src/sim/log.h"
 
@@ -56,7 +57,7 @@ int EventQueue::FindSetFrom(int level, int from) const {
 
 void EventQueue::InsertReady(EventNode* n) {
   EventNode** p = &ready_head_;
-  while (*p != nullptr && ((*p)->t < n->t || ((*p)->t == n->t && (*p)->seq < n->seq))) {
+  while (*p != nullptr && Before(*p, n)) {
     p = &(*p)->next;
   }
   n->next = *p;
@@ -85,36 +86,73 @@ void EventQueue::InsertNode(EventNode* n) {
   std::push_heap(far_.begin(), far_.end(), FarLater{});
 }
 
-void EventQueue::DrainLevel0Slot(int idx) {
-  EventNode* head = slots_[0][idx];
-  slots_[0][idx] = nullptr;
-  ClearSlotBit(0, idx);
-  assert(head != nullptr && "draining an empty bucket");
-  if (head->next == nullptr) {  // common case: a single event in the bucket
-    ready_head_ = head;
-    return;
-  }
-  scratch_.clear();
-  for (EventNode* n = head; n != nullptr; n = n->next) {
-    scratch_.push_back(n);
-  }
-  std::sort(scratch_.begin(), scratch_.end(), [](const EventNode* a, const EventNode* b) {
-    if (a->t != b->t) {
-      return a->t < b->t;
+EventQueue::EventNode* EventQueue::TakeSlot(int level, int idx) {
+  EventNode* tail = slots_[level][idx];
+  assert(tail != nullptr && "taking an empty slot");
+  slots_[level][idx] = nullptr;
+  ClearSlotBit(level, idx);
+  EventNode* head = tail->next;
+  tail->next = nullptr;
+  return head;
+}
+
+EventQueue::EventNode* EventQueue::MergeLists(EventNode* a, EventNode* b) {
+  EventNode* head = nullptr;
+  EventNode** tail = &head;
+  while (a != nullptr && b != nullptr) {
+    if (Before(b, a)) {
+      std::swap(a, b);
     }
-    return a->seq < b->seq;
-  });
-  for (size_t i = 0; i + 1 < scratch_.size(); ++i) {
-    scratch_[i]->next = scratch_[i + 1];
+    *tail = a;
+    tail = &a->next;
+    a = a->next;
   }
-  scratch_.back()->next = nullptr;
-  ready_head_ = scratch_.front();
+  *tail = a != nullptr ? a : b;
+  return head;
+}
+
+// Bottom-up merge sort: runs[i] holds a sorted run of 2^i nodes or nothing.
+// A flagged slot holds two or three nodes on average, so only the `used`
+// entries are ever initialized or read, rather than clearing all 64.
+EventQueue::EventNode* EventQueue::SortList(EventNode* head) {
+  EventNode* runs[64];
+  int used = 0;
+  while (head != nullptr) {
+    EventNode* run = head;
+    head = head->next;
+    run->next = nullptr;
+    int i = 0;
+    for (; i < used && runs[i] != nullptr; ++i) {
+      run = MergeLists(runs[i], run);
+      runs[i] = nullptr;
+    }
+    if (i == used) {
+      ++used;
+    }
+    runs[i] = run;
+  }
+  EventNode* sorted = nullptr;
+  for (int i = 0; i < used; ++i) {
+    sorted = MergeLists(runs[i], sorted);
+  }
+  return sorted;
+}
+
+void EventQueue::DrainLevel0Slot(int idx) {
+  EventNode* head = TakeSlot(0, idx);
+  // An unflagged slot is already in (t, seq) order and becomes the ready
+  // list as it is.
+  uint64_t& word = unsorted_[idx >> 6];
+  const uint64_t bit = uint64_t{1} << (idx & 63);
+  if ((word & bit) != 0) [[unlikely]] {
+    word &= ~bit;
+    head = SortList(head);
+  }
+  ready_head_ = head;
 }
 
 void EventQueue::CascadeSlot(int level, int idx) {
-  EventNode* n = slots_[level][idx];
-  slots_[level][idx] = nullptr;
-  ClearSlotBit(level, idx);
+  EventNode* n = TakeSlot(level, idx);
   while (n != nullptr) {
     EventNode* next = n->next;
     InsertNode(n);
@@ -263,15 +301,9 @@ void EventQueue::Clear() {
     FreeNode(n);
   }
   for (int level = 0; level < kLevels; ++level) {
-    summary_[level] = 0;
     for (int word = 0; word < kBitmapWords; ++word) {
-      uint64_t bits = bitmap_[level][word];
-      bitmap_[level][word] = 0;
-      while (bits != 0) {
-        const int idx = (word << 6) + std::countr_zero(bits);
-        bits &= bits - 1;
-        EventNode* n = slots_[level][idx];
-        slots_[level][idx] = nullptr;
+      for (uint64_t bits = bitmap_[level][word]; bits != 0; bits &= bits - 1) {
+        EventNode* n = TakeSlot(level, (word << 6) + std::countr_zero(bits));
         while (n != nullptr) {
           EventNode* next = n->next;
           FreeNode(n);
@@ -279,6 +311,9 @@ void EventQueue::Clear() {
         }
       }
     }
+  }
+  for (uint64_t& word : unsorted_) {
+    word = 0;
   }
   for (EventNode* n : far_) {
     FreeNode(n);

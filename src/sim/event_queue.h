@@ -11,9 +11,11 @@
 // simulator lands a fixed small delta ahead of now (5000 ps MicroEngine
 // ticks, 1364 ps Pentium ticks, bus-cycle multiples), so scheduling and
 // dispatch are O(1) with no heap allocation on the hot path: the callback
-// (an EventFn) lives inside the 64-byte node. Same-instant FIFO order is
-// preserved by per-event sequence numbers; buckets are sorted on
-// (time, seq) when their turn comes.
+// (an EventFn) is constructed once, inside the 64-byte node that runs it.
+// Same-instant FIFO order is preserved by per-event sequence numbers. Each
+// bucket keeps its nodes in the order they arrived, which is (time, seq)
+// order unless a node lands before the bucket's tail; such a level-0 bucket
+// is flagged and sorted in place when drained.
 
 #ifndef SRC_SIM_EVENT_QUEUE_H_
 #define SRC_SIM_EVENT_QUEUE_H_
@@ -33,8 +35,6 @@ namespace npr {
 
 class EventQueue {
  public:
-  using Callback = EventFn;
-
   EventQueue();
   ~EventQueue();
   EventQueue(const EventQueue&) = delete;
@@ -43,41 +43,40 @@ class EventQueue {
   // Current simulation time. Monotonically non-decreasing.
   SimTime now() const { return now_; }
 
-  // Schedules `cb` to run at absolute time `t`. `t` must be >= now().
-  // Inline: the level-0 fast path (the next ~4.2 us, i.e. nearly every
-  // event the simulator schedules) is a pool pop plus one list push.
-  void Schedule(SimTime t, EventFn cb) {
-    assert(t >= now_ && "cannot schedule an event in the past");
-    assert(cb && "cannot schedule an empty callback");
-    EventNode* n = free_;
-    if (n == nullptr) [[unlikely]] {
-      n = RefillPool();
-    }
-    free_ = n->next;
-    n->t = t;
-    n->seq = next_seq_++;
-    n->next = nullptr;
-    n->fn = std::move(cb);
-    ++size_;
-    const int64_t tick = t >> kTickShift;
-    if (t >= ready_limit_ && (tick >> kWheelBits) == (next_tick_ >> kWheelBits))
-        [[likely]] {
-      PushSlot(0, static_cast<int>(tick & kSlotMask), n);
-    } else {
-      InsertNode(n);
-    }
+  // Schedules `f` to run at absolute time `t`. `t` must be >= now(). `f` is
+  // anything EventFn accepts; it is constructed directly in the pooled node
+  // that runs it (an EventFn argument is moved in once). Inline: the level-0
+  // fast path (the next ~4.2 us, i.e. nearly every event the simulator
+  // schedules) is a pool pop plus one list append.
+  template <typename F>
+  void Schedule(SimTime t, F&& f) {
+    EventNode* n = NextFree();
+    n->fn.Emplace(std::forward<F>(f));
+    assert(n->fn && "cannot schedule an empty callback");
+    Link(n, t);
   }
 
-  // Schedules `cb` to run `dt` picoseconds from now.
-  void ScheduleIn(SimTime dt, EventFn cb) { Schedule(now_ + dt, std::move(cb)); }
+  // Schedules `f` to run `dt` picoseconds from now.
+  template <typename F>
+  void ScheduleIn(SimTime dt, F&& f) {
+    Schedule(now_ + dt, std::forward<F>(f));
+  }
 
   // Fast path for the most common event shape: a plain function pointer plus
   // context, bypassing EventFn's type erasure entirely.
-  void ScheduleRaw(SimTime t, void (*fn)(void*), void* ctx) { Schedule(t, EventFn(fn, ctx)); }
+  void ScheduleRaw(SimTime t, void (*fn)(void*), void* ctx) {
+    EventNode* n = NextFree();
+    n->fn.EmplaceRaw(fn, ctx);
+    Link(n, t);
+  }
 
   // Fast path for coroutine resumption: resumes `h` at time `t`. This is how
   // Compute/Read/Write awaitables get back on the processor they model.
-  void ScheduleResume(SimTime t, std::coroutine_handle<> h) { Schedule(t, EventFn::Resume(h)); }
+  void ScheduleResume(SimTime t, std::coroutine_handle<> h) {
+    EventNode* n = NextFree();
+    n->fn.EmplaceResume(h);
+    Link(n, t);
+  }
   void ScheduleResumeIn(SimTime dt, std::coroutine_handle<> h) { ScheduleResume(now_ + dt, h); }
 
   // Runs the single earliest pending event, advancing now() to its time.
@@ -107,14 +106,16 @@ class EventQueue {
 
  private:
   // One pooled event. Exactly one cache line: nodes never move once
-  // allocated (lists and the far-heap hold pointers), so the EventFn needs
-  // no relocation support beyond its own move.
+  // allocated (lists and the far-heap hold pointers), and the callback is
+  // written once, into the node's EventFn, by the Schedule* call that takes
+  // the node from the pool.
   struct EventNode {
     SimTime t = 0;
     uint64_t seq = 0;
     EventNode* next = nullptr;
     EventFn fn;
   };
+  static_assert(sizeof(EventNode) == 64, "an event node is one cache line");
 
   // Level-0 buckets are 4096 ps (~4.1 ns, just under one 5 ns IXP cycle) so
   // consecutive MicroEngine ticks land in consecutive buckets. Each level
@@ -128,32 +129,73 @@ class EventQueue {
   static constexpr int64_t kSlotMask = kWheelSlots - 1;
   static constexpr int kChunkNodes = 512;
 
+  // Execution order: time, then scheduling order.
+  static bool Before(const EventNode* a, const EventNode* b) {
+    return a->t < b->t || (a->t == b->t && a->seq < b->seq);
+  }
   struct FarLater {
-    bool operator()(const EventNode* a, const EventNode* b) const {
-      if (a->t != b->t) {
-        return a->t > b->t;
-      }
-      return a->seq > b->seq;
-    }
+    bool operator()(const EventNode* a, const EventNode* b) const { return Before(b, a); }
   };
 
   static int64_t TickOf(SimTime t) { return t >> kTickShift; }
 
+  // The pool's head node, left on the free list until Link takes it, so a
+  // callable whose construction throws leaks nothing.
+  EventNode* NextFree() {
+    if (free_ == nullptr) [[unlikely]] {
+      return RefillPool();
+    }
+    return free_;
+  }
+  // Takes NextFree() (its callback already written) off the pool and files
+  // it under time `t`.
+  void Link(EventNode* n, SimTime t) {
+    assert(n == free_);
+    assert(t >= now_ && "cannot schedule an event in the past");
+    free_ = n->next;
+    n->t = t;
+    n->seq = next_seq_++;
+    ++size_;
+    const int64_t tick = TickOf(t);
+    if (t >= ready_limit_ && (tick >> kWheelBits) == (next_tick_ >> kWheelBits))
+        [[likely]] {
+      PushSlot(0, static_cast<int>(tick & kSlotMask), n);
+    } else {
+      InsertNode(n);
+    }
+  }
   // Grows the node pool by one chunk; returns the new free-list head.
   EventNode* RefillPool();
   void FreeNode(EventNode* n);
   void InsertNode(EventNode* n);
   void InsertReady(EventNode* n);
+  // Appends `n` to a slot. A slot points at its tail, whose `next` closes
+  // the circle back to the head, so append and drain are O(1). A level-0
+  // slot whose new node sorts before the old tail is flagged unsorted.
   void PushSlot(int level, int idx, EventNode* n) {
-    n->next = slots_[level][idx];
+    EventNode* tail = slots_[level][idx];
+    if (tail == nullptr) {
+      n->next = n;
+      bitmap_[level][idx >> 6] |= uint64_t{1} << (idx & 63);
+      summary_[level] |= uint32_t{1} << (idx >> 6);
+    } else {
+      n->next = tail->next;
+      tail->next = n;
+      if (level == 0 && Before(n, tail)) [[unlikely]] {
+        unsorted_[idx >> 6] |= uint64_t{1} << (idx & 63);
+      }
+    }
     slots_[level][idx] = n;
-    bitmap_[level][idx >> 6] |= uint64_t{1} << (idx & 63);
-    summary_[level] |= uint32_t{1} << (idx >> 6);
   }
+  // Unlinks a slot's circle; returns its head as a null-terminated list.
+  EventNode* TakeSlot(int level, int idx);
   void ClearSlotBit(int level, int idx);
   int FindSetFrom(int level, int from) const;
   void CascadeSlot(int level, int idx);
   void DrainLevel0Slot(int idx);
+  // Sorts a null-terminated list on (t, seq), in place.
+  static EventNode* SortList(EventNode* head);
+  static EventNode* MergeLists(EventNode* a, EventNode* b);
   // Refills ready_ with the next due bucket (cascading and draining the
   // far-heap as needed). Returns false when nothing is pending.
   bool Advance();
@@ -176,13 +218,17 @@ class EventQueue {
   int64_t caught_up_w2_ = 0;
   int64_t caught_up_rot_ = 0;
 
+  // Each slot points at the tail of its circular list (nullptr if empty).
   EventNode* slots_[kLevels][kWheelSlots] = {};
   uint64_t bitmap_[kLevels][kBitmapWords] = {};
   // Bit w set iff bitmap_[level][w] != 0: one load decides where the next
   // occupied slot is instead of walking all 16 bitmap words.
   uint32_t summary_[kLevels] = {};
-  std::vector<EventNode*> far_;      // min-heap on (t, seq)
-  std::vector<EventNode*> scratch_;  // bucket sort scratch, reused
+  // Level-0 slots whose list is not in (t, seq) order: a cascaded node
+  // landed behind fresh ones, or an earlier instant of the same bucket was
+  // scheduled after a later one.
+  uint64_t unsorted_[kBitmapWords] = {};
+  std::vector<EventNode*> far_;  // min-heap on (t, seq)
 
   std::vector<std::unique_ptr<EventNode[]>> chunks_;
   EventNode* free_ = nullptr;

@@ -117,12 +117,19 @@ TEST_F(MemorySystemTest, StatsCountAccesses) {
 }
 
 TEST_F(MemorySystemTest, QueueWaitRecordedUnderContention) {
+  MemoryChannel& ch = mem_.sram();
   for (int i = 0; i < 10; ++i) {
-    mem_.sram().Issue(4, false, nullptr);
+    ch.Issue(4, false, nullptr);
   }
   engine_.RunAll();
-  EXPECT_EQ(mem_.sram().queue_wait().count(), 10u);
-  EXPECT_GT(mem_.sram().queue_wait().max(), 0u);
+  // Ten one-bus-cycle reads issued at one instant: the i-th waits i cycles.
+  const SimTime cycle = ch.config().bus_cycle_ps;
+  EXPECT_EQ(ch.reads(), 10u);
+  EXPECT_EQ(ch.queue_wait_max_ps(), 9 * cycle);
+  EXPECT_EQ(ch.queue_wait_sum_ps(), 45 * cycle);
+  ch.ResetStats();
+  EXPECT_EQ(ch.queue_wait_max_ps(), 0);
+  EXPECT_EQ(ch.queue_wait_sum_ps(), 0);
 }
 
 TEST_F(MemorySystemTest, PeekLatencyAgreesWithIssueUnderBacklog) {
@@ -163,9 +170,8 @@ TEST_F(MemorySystemTest, IssueBurstMatchesSequentialIssues) {
   EXPECT_EQ(burst_done, seq_done);
   EXPECT_EQ(burst.writes(), seq.writes());
   EXPECT_EQ(burst.bytes_moved(), seq.bytes_moved());
-  EXPECT_EQ(burst.queue_wait().count(), seq.queue_wait().count());
-  EXPECT_EQ(burst.queue_wait().max(), seq.queue_wait().max());
-  EXPECT_DOUBLE_EQ(burst.queue_wait().mean(), seq.queue_wait().mean());
+  EXPECT_EQ(burst.queue_wait_max_ps(), seq.queue_wait_max_ps());
+  EXPECT_EQ(burst.queue_wait_sum_ps(), seq.queue_wait_sum_ps());
   engine_.RunAll();
   EXPECT_EQ(burst.Utilization(0), seq.Utilization(0));
 }

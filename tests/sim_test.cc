@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <coroutine>
 #include <cstdint>
+#include <deque>
 #include <functional>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -144,6 +147,52 @@ TEST(EventQueue, ScheduleIntoDrainedWindowKeepsOrder) {
   EXPECT_EQ(times, (std::vector<SimTime>{160, 200}));
 }
 
+// A bucket keeps its nodes in arrival order: an earlier instant scheduled
+// after a later one into the same 4096 ps bucket must still run first.
+TEST(EventQueue, EarlierInstantScheduledLaterIntoBucketRunsFirst) {
+  EventQueue q;
+  std::vector<SimTime> times;
+  q.Schedule(8192 + 90, [&] { times.push_back(q.now()); });
+  q.Schedule(8192 + 10, [&] { times.push_back(q.now()); });
+  q.RunAll();
+  EXPECT_EQ(times, (std::vector<SimTime>{8192 + 10, 8192 + 90}));
+
+  // 300 events over 100 instants of one bucket, in shuffled order: the
+  // bucket drains in (time, scheduling order), through multi-level merges.
+  const SimTime base = 4 * 4096;
+  std::vector<std::pair<SimTime, int>> scheduled;
+  std::vector<std::pair<SimTime, int>> ran;
+  Rng rng(7);
+  for (int id = 0; id < 300; ++id) {
+    const SimTime t = base + static_cast<SimTime>(rng.Uniform(100)) * 40;
+    scheduled.emplace_back(t, id);
+    q.Schedule(t, [&ran, &q, id] { ran.emplace_back(q.now(), id); });
+  }
+  q.RunAll();
+  std::stable_sort(scheduled.begin(), scheduled.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  EXPECT_EQ(ran, scheduled);
+}
+
+// A node parked a level up cascades into its level-0 bucket behind fresh
+// nodes scheduled there after the cursor crossed into the window; at a tie
+// in time it still runs first, because it was scheduled first.
+TEST(EventQueue, CascadedNodeRunsBeforeLaterScheduledTie) {
+  constexpr SimTime kWindow = SimTime{1} << 22;  // level-0 span: 1024 x 4096 ps
+  EventQueue q;
+  std::vector<int> order;
+  q.Schedule(kWindow + 100, [&] { order.push_back(2); });  // parked at level 1
+  q.Schedule(kWindow - 4096, [&] {
+    // The cursor is now in window 1: both land at level 0, in the bucket
+    // the parked node cascades into.
+    order.push_back(0);
+    q.Schedule(kWindow + 50, [&] { order.push_back(1); });
+    q.Schedule(kWindow + 100, [&] { order.push_back(3); });
+  });
+  q.RunAll();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
 // Regression test for the window-boundary cascade: an event parked one
 // level up in the incoming window must run before a level-0 event that a
 // callback schedules after the cursor has already crossed the boundary.
@@ -242,10 +291,48 @@ TEST(EventQueue, ScheduleResumeDrivesCoroutine) {
   probe.handle.destroy();
 }
 
+// A callable larger than EventFn's inline buffer and owning a shared_ptr is
+// boxed on the heap, built straight into its node, and destroyed exactly
+// once: after it runs, when Clear() drops it, or with the queue.
+TEST(EventQueue, BoxedCallableIsDestroyedExactlyOnce) {
+  auto token = std::make_shared<int>(0);
+  auto make = [&token] {
+    return [token, pad = std::array<int64_t, 3>{}] { *token += 1 + static_cast<int>(pad[0]); };
+  };
+  static_assert(sizeof(make()) > EventFn::kInlineBytes);
+  {
+    EventQueue q;
+    q.Schedule(10, make());
+    EXPECT_EQ(token.use_count(), 2);
+    q.RunAll();
+    EXPECT_EQ(*token, 1);
+    EXPECT_EQ(token.use_count(), 1);
+
+    q.ScheduleIn(10, make());
+    q.Schedule(q.now() + 20, EventFn(make()));  // an EventFn is moved in once
+    EXPECT_EQ(token.use_count(), 3);
+    q.Clear();
+    EXPECT_EQ(token.use_count(), 1);
+
+    q.Schedule(q.now() + 10, make());
+    EXPECT_EQ(token.use_count(), 2);
+  }
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(*token, 1);
+}
+
+ResumeProbe FireOnResume(const std::function<void(int)>* fire, int id) {
+  (*fire)(id);
+  co_return;
+}
+
 // Randomized schedule shapes vs a trivially-correct oracle: execution order
 // must equal a stable sort by time of the events in scheduling order (that
 // is what "deterministic FIFO within an instant" means), and every event
-// must fire exactly at its scheduled time.
+// must fire exactly at its scheduled time. The queue advances in random
+// RunUntil steps with events also scheduled between steps, and each event
+// is one of the four callable shapes: fn-ptr + context, coroutine resume,
+// inline lambda, and boxed lambda.
 TEST(EventQueue, RandomizedOrderMatchesStableSortOracle) {
   const std::vector<SimTime> horizons = {0,     1,          4096,        50'000,
                                          1 << 22, 1 << 24, SimTime{1} << 32,
@@ -255,24 +342,68 @@ TEST(EventQueue, RandomizedOrderMatchesStableSortOracle) {
   std::vector<std::pair<SimTime, int>> scheduled;  // (t, id) in schedule order
   std::vector<std::pair<SimTime, int>> ran;
   int next_id = 0;
-  std::function<void()> schedule_random = [&] {
+  std::function<void()> schedule_random;
+  const std::function<void(int)> fire = [&](int id) {
+    ran.emplace_back(q.now(), id);
+    // Occasionally breed follow-up events (tests mid-dispatch inserts).
+    if (rng.Chance(0.2) && next_id < 4000) {
+      schedule_random();
+      schedule_random();
+    }
+  };
+  struct RawEvent {
+    const std::function<void(int)>* fire;
+    int id;
+  };
+  std::deque<RawEvent> raw_events;  // stable addresses for the contexts
+  std::vector<std::coroutine_handle<>> coroutines;
+  schedule_random = [&] {
     const SimTime horizon = horizons[rng.Uniform(horizons.size())];
     const SimTime t = q.now() + static_cast<SimTime>(rng.Uniform(static_cast<uint64_t>(horizon) + 1));
     const int id = next_id++;
     scheduled.emplace_back(t, id);
-    q.Schedule(t, [&, id] {
-      ran.emplace_back(q.now(), id);
-      // Occasionally breed follow-up events (tests mid-dispatch inserts).
-      if (rng.Chance(0.2) && next_id < 4000) {
-        schedule_random();
-        schedule_random();
+    switch (rng.Uniform(4)) {
+      case 0:
+        raw_events.push_back(RawEvent{&fire, id});
+        q.ScheduleRaw(
+            t,
+            [](void* e) {
+              const RawEvent* raw = static_cast<const RawEvent*>(e);
+              (*raw->fire)(raw->id);
+            },
+            &raw_events.back());
+        break;
+      case 1:
+        coroutines.push_back(FireOnResume(&fire, id).handle);
+        q.ScheduleResume(t, coroutines.back());
+        break;
+      case 2:
+        q.Schedule(t, [&fire, id] { fire(id); });
+        break;
+      default: {
+        auto boxed = [&fire, id, pad = std::array<int64_t, 3>{}] {
+          fire(id + static_cast<int>(pad[0]));
+        };
+        static_assert(sizeof(boxed) > EventFn::kInlineBytes);
+        q.Schedule(t, std::move(boxed));
+        break;
       }
-    });
+    }
   };
   for (int i = 0; i < 500; ++i) {
     schedule_random();
   }
-  q.RunAll();
+  const std::vector<SimTime> steps = {0, 1, 4096, 50'000, 1 << 22, SimTime{1} << 32,
+                                      SimTime{1} << 43};
+  while (q.pending() > 0) {
+    q.RunUntil(q.now() + steps[rng.Uniform(steps.size())]);
+    if (rng.Chance(0.3) && next_id < 4000) {
+      schedule_random();  // from outside any callback, at or after now()
+    }
+  }
+  for (std::coroutine_handle<> h : coroutines) {
+    h.destroy();
+  }
   ASSERT_EQ(ran.size(), scheduled.size());
   std::stable_sort(scheduled.begin(), scheduled.end(),
                    [](const auto& a, const auto& b) { return a.first < b.first; });
