@@ -12,6 +12,7 @@
 // (ci/smoke.sh passes the host's core count, capped at 8).
 
 #include <sched.h>
+#include <sys/resource.h>
 
 #include <chrono>
 #include <cstdlib>
@@ -233,5 +234,18 @@ int main(int argc, char** argv) {
   Note("same sharded configuration; the deterministic row is 1 only if every");
   Note("thread count produced a bit-identical run fingerprint.");
 
-  return bench::EmitJson("cluster_scale");
+  bool ok = bench::EmitJson("cluster_scale") == 0;
+  // Footprint: a router's simulated memories hold only the blocks a run
+  // writes (docs/perf.md, "Router construction and footprint"), so the
+  // process peaks at 68-74 MB from 1 to 8 threads; zero-filling every
+  // store when it was built took 358 MB. Skipped when allocation counting
+  // is compiled out, which covers sanitizer builds, whose shadow memory
+  // inflates RSS.
+  if (AllocCount() > 0) {
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    ok &= Check({.label = "peak_rss_mb", .measured = static_cast<double>(usage.ru_maxrss) / 1024,
+                 .unit = "MB", .bound = AtMost(160)});
+  }
+  return ok ? 0 : 1;
 }

@@ -9,11 +9,43 @@
 namespace npr {
 
 uint32_t Ipv4FromString(const std::string& dotted) {
-  unsigned a = 0, b = 0, c = 0, d = 0;
-  if (std::sscanf(dotted.c_str(), "%u.%u.%u.%u", &a, &b, &c, &d) != 4) {
-    return 0;
+  std::string_view rest = dotted;
+  const std::optional<uint32_t> addr = ReadDottedQuad(rest);
+  return addr && rest.empty() ? *addr : 0;
+}
+
+std::optional<uint32_t> ReadDecimal(std::string_view& text, uint32_t max) {
+  size_t i = 0;
+  uint64_t value = 0;
+  for (; i < text.size() && text[i] >= '0' && text[i] <= '9'; ++i) {
+    value = value * 10 + static_cast<uint64_t>(text[i] - '0');
+    if (value > max) {  // stop before a long digit string can overflow
+      return std::nullopt;
+    }
   }
-  return a << 24 | b << 16 | c << 8 | d;
+  if (i == 0) {
+    return std::nullopt;
+  }
+  text.remove_prefix(i);
+  return static_cast<uint32_t>(value);
+}
+
+std::optional<uint32_t> ReadDottedQuad(std::string_view& text) {
+  uint32_t addr = 0;
+  for (int octet = 0; octet < 4; ++octet) {
+    if (octet > 0) {
+      if (text.empty() || text.front() != '.') {
+        return std::nullopt;
+      }
+      text.remove_prefix(1);
+    }
+    const std::optional<uint32_t> value = ReadDecimal(text, 255);
+    if (!value) {
+      return std::nullopt;
+    }
+    addr = addr << 8 | *value;
+  }
+  return addr;
 }
 
 std::string Ipv4ToString(uint32_t addr) {

@@ -7,6 +7,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace npr {
@@ -18,8 +19,16 @@ inline constexpr uint8_t kIpProtoUdp = 17;
 inline constexpr uint8_t kIpProtoOspfLite = 89;  // control-plane protocol number
 
 // Dotted-quad helpers; addresses are host-order uint32 throughout the repo.
+// Ipv4FromString returns 0 for anything but exactly "a.b.c.d".
 uint32_t Ipv4FromString(const std::string& dotted);
 std::string Ipv4ToString(uint32_t addr);
+
+// Strict readers: each takes what it reads off the front of `text` and
+// leaves the rest for the caller. A number is one or more decimal digits
+// (no sign, no whitespace) no greater than `max`; a dotted quad is four
+// such octets (max 255) joined by '.'. On failure `text` is unspecified.
+std::optional<uint32_t> ReadDecimal(std::string_view& text, uint32_t max);
+std::optional<uint32_t> ReadDottedQuad(std::string_view& text);
 
 struct Ipv4Header {
   uint8_t version = 4;

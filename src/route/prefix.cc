@@ -1,24 +1,21 @@
 #include "src/route/prefix.h"
 
-#include <cstdio>
-
 #include "src/net/ipv4.h"
 
 namespace npr {
 
 std::optional<Prefix> Prefix::Parse(const std::string& text) {
-  const auto slash = text.find('/');
-  if (slash == std::string::npos) {
+  std::string_view rest = text;
+  const std::optional<uint32_t> addr = ReadDottedQuad(rest);
+  if (!addr || rest.empty() || rest.front() != '/') {
     return std::nullopt;
   }
-  unsigned a = 256, b = 256, c = 256, d = 256, len = 64;
-  if (std::sscanf(text.c_str(), "%u.%u.%u.%u/%u", &a, &b, &c, &d, &len) != 5) {
+  rest.remove_prefix(1);
+  const std::optional<uint32_t> len = ReadDecimal(rest, 32);
+  if (!len || !rest.empty()) {
     return std::nullopt;
   }
-  if (a > 255 || b > 255 || c > 255 || d > 255 || len > 32) {
-    return std::nullopt;
-  }
-  return Make(a << 24 | b << 16 | c << 8 | d, static_cast<uint8_t>(len));
+  return Make(*addr, static_cast<uint8_t>(*len));
 }
 
 Prefix Prefix::Make(uint32_t addr, uint8_t len) {

@@ -13,7 +13,8 @@ struct Prefix {
   uint32_t addr = 0;  // host byte order, canonical (bits beyond len are 0)
   uint8_t len = 0;    // 0..32
 
-  // Parses "a.b.c.d/len"; rejects malformed input or len > 32.
+  // Parses exactly "a.b.c.d/len" (decimal digits only, octets <= 255,
+  // len <= 32); rejects anything else, trailing text included.
   static std::optional<Prefix> Parse(const std::string& text);
 
   // Canonicalizes: masks addr to len bits.

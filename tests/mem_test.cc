@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstring>
+#include <vector>
+
+#include "src/fault/fault_injector.h"
 #include "src/ixp/hw_config.h"
 #include "src/mem/memory_system.h"
 #include "src/sim/event_queue.h"
@@ -206,17 +212,123 @@ TEST(BackingStore, WordAccessors) {
   EXPECT_EQ(store.ReadU64(16), 0x0123456789abcdefULL);
 }
 
+// Reads [addr, addr + len) back as a vector.
+std::vector<uint8_t> ReadBytes(const BackingStore& store, uint32_t addr, size_t len) {
+  std::vector<uint8_t> out(len, 0xaa);
+  store.Read(addr, out);
+  return out;
+}
+
 TEST(BackingStore, ZeroFills) {
   BackingStore store("test", 64);
   store.WriteU32(0, 0xffffffff);
   store.Zero(0, 4);
   EXPECT_EQ(store.ReadU32(0), 0u);
+
+  // Across block boundaries and over never-written blocks: [48, 136) is
+  // written (the tail of block 0, all of block 1, the head of block 2) and
+  // block 3 never is; Zero(56, 144) covers part of block 0, blocks 1 and 2
+  // whole, and part of block 3.
+  BackingStore wide("test", 256);
+  const std::vector<uint8_t> ones(136 - 48, 0xff);
+  wide.Write(48, ones);
+  wide.Zero(56, 144);
+  std::vector<uint8_t> expect(256, 0);
+  std::fill(expect.begin() + 48, expect.begin() + 56, 0xff);
+  EXPECT_EQ(ReadBytes(wide, 0, 256), expect);
+  // A block zeroed whole reads as zero around a later partial write too.
+  const uint32_t word = 0x01020304;
+  wide.WriteU32(72, word);
+  std::memcpy(expect.data() + 72, &word, 4);
+  EXPECT_EQ(ReadBytes(wide, 0, 256), expect);
+
+  BackingStore fresh("test", 100);
+  fresh.Zero(0, 100);
+  EXPECT_EQ(ReadBytes(fresh, 0, 100), std::vector<uint8_t>(100, 0));
+  EXPECT_EQ(fresh.oob_errors(), 0u);
 }
 
 TEST(BackingStore, InitiallyZeroed) {
   BackingStore store("test", 128);
   EXPECT_EQ(store.ReadU64(0), 0u);
   EXPECT_EQ(store.ReadU64(120), 0u);
+
+  // A size that is not a whole number of 64-byte blocks: reads across the
+  // partial last block, up to size(), are zero too.
+  BackingStore odd("test", 100);
+  EXPECT_EQ(odd.size(), 100u);
+  EXPECT_EQ(ReadBytes(odd, 40, 60), std::vector<uint8_t>(60, 0));
+  EXPECT_EQ(odd.ReadU32(96), 0u);
+  odd.WriteU32(96, 0xa5a5a5a5);
+  EXPECT_EQ(odd.ReadU32(96), 0xa5a5a5a5u);
+  EXPECT_EQ(odd.ReadU32(92), 0u);
+  EXPECT_EQ(odd.oob_errors(), 0u);
+}
+
+TEST(BackingStore, PartialWriteLeavesRestOfBlockZero) {
+  BackingStore store("test", 4096);
+  // A 4-byte write into a never-written block: its other 60 bytes read zero.
+  const uint32_t word = 0xdeadbeef;
+  store.WriteU32(64 + 8, word);
+  std::vector<uint8_t> expect(64, 0);
+  std::memcpy(expect.data() + 8, &word, 4);
+  EXPECT_EQ(ReadBytes(store, 64, 64), expect);
+
+  // The same after the block was filled with ones and zeroed whole, so its
+  // stored bytes are not zero whatever the allocator handed out.
+  const std::vector<uint8_t> ones(64, 0xff);
+  store.Write(128, ones);
+  store.Zero(128, 64);
+  store.WriteU32(128 + 8, word);
+  EXPECT_EQ(ReadBytes(store, 128, 64), expect);
+
+  // Written, never-written, written: a read spanning [224, 416) returns
+  // each part in place.
+  const std::vector<uint8_t> low(32, 0x11);
+  const std::vector<uint8_t> high(32, 0x22);
+  store.Write(224, low);   // tail of block 3
+  store.Write(384, high);  // head of block 6; blocks 4 and 5 stay unwritten
+  std::vector<uint8_t> span(416 - 224, 0);
+  std::fill(span.begin(), span.begin() + 32, 0x11);
+  std::fill(span.end() - 32, span.end(), 0x22);
+  EXPECT_EQ(ReadBytes(store, 224, 416 - 224), span);
+}
+
+TEST(BackingStore, ZeroLengthAccessAtEndIsNoOp) {
+  for (size_t size : {size_t{128}, size_t{100}}) {
+    BackingStore store("test", size);
+    const auto end = static_cast<uint32_t>(size);
+    store.Write(end, {});
+    store.Read(end, {});
+    store.Zero(end, 0);
+    EXPECT_EQ(store.oob_errors(), 0u) << size;
+    EXPECT_EQ(ReadBytes(store, 0, size), std::vector<uint8_t>(size, 0)) << size;
+  }
+}
+
+TEST(BackingStore, FaultFlipLandsInNeverWrittenBytes) {
+  // A read of bytes nobody wrote still consults the injector and comes back
+  // with exactly one bit flipped; the stored bytes stay zero.
+  EventQueue engine;
+  FaultPlan plan;
+  plan.mem_bit_flip_p = 1;
+  FaultInjector fault(plan, engine);
+  BackingStore store("test", 256);
+  store.set_fault_injector(&fault);
+  const auto popcount = [](const std::vector<uint8_t>& bytes) {
+    int bits = 0;
+    for (uint8_t b : bytes) {
+      bits += std::popcount(b);
+    }
+    return bits;
+  };
+  EXPECT_EQ(popcount(ReadBytes(store, 64, 16)), 1);
+  // Across a written and a never-written block: one flip over the whole read.
+  store.WriteU32(60, 0);
+  EXPECT_EQ(popcount(ReadBytes(store, 56, 16)), 1);
+  EXPECT_EQ(fault.injected(FaultKind::kMemBitFlip), 2u);
+  fault.set_armed(false);
+  EXPECT_EQ(ReadBytes(store, 0, 256), std::vector<uint8_t>(256, 0));
 }
 
 #ifdef NDEBUG

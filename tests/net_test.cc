@@ -140,6 +140,12 @@ TEST(Ipv4, ValidateRejectsBadVersion) {
 TEST(Ipv4, StringConversions) {
   EXPECT_EQ(Ipv4ToString(0x0a010203), "10.1.2.3");
   EXPECT_EQ(Ipv4FromString("192.168.1.200"), 0xc0a801c8u);
+  EXPECT_EQ(Ipv4FromString("255.255.255.255"), 0xffffffffu);
+  // Anything but exactly four octets in 0..255 reads as 0.
+  for (const char* bad :
+       {"", "1.2.3", "1.2.3.256", "1.2.3.4x", "1.2.3.4.5", "1..2.3", "-1.2.3.4"}) {
+    EXPECT_EQ(Ipv4FromString(bad), 0u) << bad;
+  }
 }
 
 TEST(Tcp, RoundTripAndChecksum) {

@@ -21,6 +21,14 @@ TEST(Prefix, ParseValid) {
   EXPECT_EQ(p->addr, 0x0a010000u);
   EXPECT_EQ(p->len, 16);
   EXPECT_EQ(p->ToString(), "10.1.0.0/16");
+
+  // The extremes of both fields.
+  auto all = Prefix::Parse("0.0.0.0/0");
+  ASSERT_TRUE(all);
+  EXPECT_EQ(*all, Prefix::Make(0, 0));
+  auto host = Prefix::Parse("255.255.255.255/32");
+  ASSERT_TRUE(host);
+  EXPECT_EQ(*host, Prefix::Make(0xffffffff, 32));
 }
 
 TEST(Prefix, ParseCanonicalizes) {
@@ -34,6 +42,14 @@ TEST(Prefix, ParseRejectsGarbage) {
   EXPECT_FALSE(Prefix::Parse("10.1.0.0/33"));
   EXPECT_FALSE(Prefix::Parse("999.1.0.0/8"));
   EXPECT_FALSE(Prefix::Parse("banana/8"));
+  // Trailing text, a second length, whitespace, a sign, and a length that
+  // only fits after wrapping modulo 2^32 (4294967304 = 2^32 + 8).
+  EXPECT_FALSE(Prefix::Parse("10.0.0.0/8junk"));
+  EXPECT_FALSE(Prefix::Parse("10.0.0.0/8/9"));
+  EXPECT_FALSE(Prefix::Parse(" 10.0.0.0/8"));
+  EXPECT_FALSE(Prefix::Parse("+10.0.0.0/8"));
+  EXPECT_FALSE(Prefix::Parse("10.0.0.0/ 8"));
+  EXPECT_FALSE(Prefix::Parse("10.0.0.0/4294967304"));
 }
 
 TEST(Prefix, Contains) {
