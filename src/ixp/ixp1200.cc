@@ -28,7 +28,6 @@ HostSystem::HostSystem(EventQueue& engine, const HwConfig& config)
                        // First-word latency of a PCI transaction.
                        .read_latency_ps = 8 * config.pci_cycle_ps,
                        .write_latency_ps = 4 * config.pci_cycle_ps,
-                   }),
-      host_mem_("host_mem", 8u << 20) {}
+                   }) {}
 
 }  // namespace npr

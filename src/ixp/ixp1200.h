@@ -1,7 +1,7 @@
 // Assembly of the complete simulated hardware: the IXP1200 chip (memories,
 // MicroEngines, FIFOs, DMA, hash unit, StrongARM) and the host side
-// (Pentium III, PCI bus, host memory). Mirrors the block diagram in
-// Figure 3 of the paper.
+// (Pentium III, PCI bus). Mirrors the block diagram in Figure 3 of the
+// paper.
 
 #ifndef SRC_IXP_IXP1200_H_
 #define SRC_IXP_IXP1200_H_
@@ -58,7 +58,9 @@ class Ixp1200 {
   SoftCore strongarm_;
 };
 
-// Host side of the prototype: Pentium III, 32-bit/33 MHz PCI, host DRAM.
+// Host side of the prototype: Pentium III and 32-bit/33 MHz PCI. Packets
+// bound for the Pentium are timed on the PCI channel and staged as packets
+// by the bridge (`StrongArmBridge::staging`), so host memory has no store.
 class HostSystem {
  public:
   HostSystem(EventQueue& engine, const HwConfig& config);
@@ -68,12 +70,10 @@ class HostSystem {
 
   SoftCore& pentium() { return pentium_; }
   MemoryChannel& pci() { return pci_; }
-  BackingStore& host_mem() { return host_mem_; }
 
  private:
   SoftCore pentium_;
   MemoryChannel pci_;
-  BackingStore host_mem_;
 };
 
 }  // namespace npr

@@ -7,15 +7,20 @@
 // honest — a corrupted pointer shows up as a corrupted packet, not as a
 // silently-correct abstraction.
 //
-// Representation: the bytes are allocated uninitialized, beside one bit per
-// 64-byte block (one MP) recording whether the block has been written. A
-// write zero-fills each unwritten block it touches, then copies; a read
-// copies written blocks and returns zeros for unwritten ones without
-// touching them. So every byte reads as zero until written, exactly as if
-// the store had been zero-filled when it was built, but building a router
-// costs its 64 KB-per-32 MB bitmap instead of zeroing 42 MB, and only the
-// blocks a run writes ever become resident (docs/perf.md, "Router
-// construction and footprint").
+// Representation: host memory follows the 64-byte blocks (one MP each) a
+// run writes, not the simulated addresses they span. Each written block
+// lives in a 64 KB slab, packed in first-write order. A directory with one
+// pointer per 64 KB region leads to that region's block table, and the
+// tables are carved from the same slabs when the region's first block is
+// written. A table entry is the block's 24-bit slot number (0: never
+// written), so the paper's buffer ring, whose first MPs are 64 bytes in
+// every 2 KB, keeps 3 KB of table per 32 blocks instead of a resident page
+// per two blocks. A write allocates and zero-fills each unwritten block it
+// touches, then copies; a read copies written blocks and returns zeros for
+// the rest without allocating. So every byte reads as zero until written,
+// exactly as if the store had been zero-filled when it was built, but a
+// constructor clears only the directory (4 KB per 32 MB; docs/perf.md,
+// "Router construction and footprint").
 
 #ifndef SRC_MEM_BACKING_STORE_H_
 #define SRC_MEM_BACKING_STORE_H_
@@ -44,15 +49,15 @@ class BackingStore {
   // nearly all of them fall inside one written block; every other access
   // (out of range, empty, unwritten or spanning blocks) goes out of line.
   void Write(uint32_t addr, std::span<const uint8_t> bytes) {
-    if (InWrittenBlock(addr, bytes.size())) [[likely]] {
-      std::memcpy(data_.get() + addr, bytes.data(), bytes.size());
+    if (const uint32_t slot = WrittenSlot(addr, bytes.size())) [[likely]] {
+      std::memcpy(SlotData(slot) + (addr & (kBlockBytes - 1)), bytes.data(), bytes.size());
     } else {
       WriteSlow(addr, bytes);
     }
   }
   void Read(uint32_t addr, std::span<uint8_t> out) const {
-    if (InWrittenBlock(addr, out.size())) [[likely]] {
-      std::memcpy(out.data(), data_.get() + addr, out.size());
+    if (const uint32_t slot = WrittenSlot(addr, out.size())) [[likely]] {
+      std::memcpy(out.data(), SlotData(slot) + (addr & (kBlockBytes - 1)), out.size());
       if (fault_ != nullptr) {
         FaultFlip(out);
       }
@@ -88,11 +93,16 @@ class BackingStore {
     return value;
   }
 
-  // Zero-fills [addr, addr + len): whole blocks go back to unwritten.
+  // Zero-fills [addr, addr + len): the written blocks it covers are cleared
+  // in place; unwritten ones already read as zero.
   void Zero(uint32_t addr, size_t len);
 
   // Number of accesses rejected for being out of bounds.
   uint64_t oob_errors() const { return oob_errors_; }
+
+  // Host memory the store holds: directory, slab list and slabs (which
+  // hold the block tables and the written blocks).
+  size_t host_bytes() const;
 
   // Fault injection: single-bit flips on the data returned by Read(). The
   // stored bytes are untouched (a transient read disturbance).
@@ -101,34 +111,70 @@ class BackingStore {
  private:
   static constexpr unsigned kBlockShift = 6;  // 64-byte blocks
   static constexpr size_t kBlockBytes = size_t{1} << kBlockShift;
+  static constexpr unsigned kRegionShift = 16;  // one directory word per 64 KB
+  static constexpr size_t kRegionBytes = size_t{1} << kRegionShift;
+  static constexpr size_t kRegionBlocks = size_t{1} << (kRegionShift - kBlockShift);
+  static constexpr unsigned kSlabShift = 10;  // 1,024 blocks (64 KB) per slab
+  static constexpr uint32_t kSlabSlots = uint32_t{1} << kSlabShift;
+  // A table entry is a 3-byte slot number, so a table fills 48 slots.
+  static constexpr size_t kEntryBytes = 3;
+  static constexpr uint32_t kTableSlots = kRegionBlocks * kEntryBytes / kBlockBytes;
 
+  size_t regions() const { return (size_ + kRegionBytes - 1) >> kRegionShift; }
   bool CheckRange(uint32_t addr, size_t len) const {
     if (static_cast<size_t>(addr) + len > size_) [[unlikely]] {
       return RangeFailure(addr, len);
     }
     return true;
   }
-  // True if [addr, addr + len) is non-empty, in range, and inside one block
-  // that has been written.
-  bool InWrittenBlock(uint32_t addr, size_t len) const {
+  // The slot of the block holding [addr, addr + len) if the range is
+  // non-empty, in range, inside one block, and that block has been written;
+  // otherwise 0.
+  uint32_t WrittenSlot(uint32_t addr, size_t len) const {
     const size_t end = static_cast<size_t>(addr) + len;
-    return len != 0 && end <= size_ && (addr >> kBlockShift) == ((end - 1) >> kBlockShift) &&
-           IsWritten(addr >> kBlockShift);
+    if (len == 0 || end > size_ || (addr >> kBlockShift) != ((end - 1) >> kBlockShift)) {
+      return 0;
+    }
+    return Slot(addr >> kBlockShift);
   }
-  bool IsWritten(size_t block) const { return (written_[block >> 6] >> (block & 63)) & 1; }
+  // The slot of `block`, or 0 if it has never been written.
+  uint32_t Slot(size_t block) const {
+    const uint8_t* table = dir_[block / kRegionBlocks];
+    if (table == nullptr) {
+      return 0;
+    }
+    // Low two bytes as one host-endian load, as SetSlot stores them.
+    const uint8_t* entry = table + (block % kRegionBlocks) * kEntryBytes;
+    uint16_t low;
+    std::memcpy(&low, entry, 2);
+    return low | uint32_t{entry[2]} << 16;
+  }
+  uint8_t* SlotData(uint32_t slot) const {
+    return slabs_[slot >> kSlabShift].get() + ((slot & (kSlabSlots - 1)) << kBlockShift);
+  }
 
-  // Cold halves, out of line: error reporting, fault-injection flips, and
-  // the accesses the inline test above does not take.
+  // Cold halves, out of line: error reporting, fault-injection flips, the
+  // accesses the inline test above does not take, and slot allocation.
   bool RangeFailure(uint32_t addr, size_t len) const;
   void FaultFlip(std::span<uint8_t> out) const;
   void WriteSlow(uint32_t addr, std::span<const uint8_t> bytes);
   void ReadSlow(uint32_t addr, std::span<uint8_t> out) const;
+  // The stored copy of `block`, allocated and zero-filled if unwritten.
+  uint8_t* BlockForWrite(size_t block);
+  static void SetSlot(uint8_t* table, size_t block, uint32_t slot);
+  // `n` consecutive slots inside one slab, in first-write order.
+  uint32_t NewSlots(uint32_t n);
 
   std::string name_;
   size_t size_;
-  // size_ rounded up to whole blocks, uninitialized until a block is written.
-  std::unique_ptr<uint8_t[]> data_;
-  std::vector<uint64_t> written_;  // bit b: block b has been written
+  // Per 64 KB region: its block table, or nullptr until a block is written.
+  std::unique_ptr<uint8_t*[]> dir_;
+  // 64 KB, or less when every block and table of the store fits one slab.
+  size_t slab_bytes_ = 0;
+  std::vector<std::unique_ptr<uint8_t[]>> slabs_;
+  // The next free slot. A table comes first in every store, so a block's
+  // slot is never 0.
+  uint32_t next_slot_ = 0;
   FaultInjector* fault_ = nullptr;
   mutable uint64_t oob_errors_ = 0;
 };

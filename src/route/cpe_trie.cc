@@ -38,6 +38,7 @@ int CpeTrie::NewNode(int level) {
 }
 
 void CpeTrie::Insert(const Prefix& prefix, uint32_t value) {
+  assert(value < (uint32_t{1} << 24) && "next-hop handles are 24 bits");
   InsertAt(0, prefix.addr, prefix.len, value, 0);
 }
 
@@ -53,11 +54,11 @@ void CpeTrie::InsertAt(int node_idx, uint32_t addr, uint8_t len, uint32_t value,
     const uint32_t span = uint32_t{1} << (stride - remaining);
     const uint32_t first = hi << (stride - remaining);
     auto& slots = nodes_[static_cast<size_t>(node_idx)].slots;
+    const uint32_t packed = Slot::Pack(value, len);
     for (uint32_t i = first; i < first + span; ++i) {
       Slot& slot = slots[i];
-      if (slot.value < 0 || slot.value_plen <= len) {
-        slot.value = static_cast<int32_t>(value);
-        slot.value_plen = len;
+      if (slot.len_plus_one() <= len + 1u) {
+        slot.value = packed;
       }
     }
     return;
@@ -83,8 +84,8 @@ CpeTrie::LookupResult CpeTrie::Lookup(uint32_t ip) const {
     const int stride = strides_[static_cast<size_t>(node.level)];
     const uint32_t idx = ExtractBits(ip, bit_off, stride);
     const Slot& slot = node.slots[idx];
-    if (slot.value >= 0) {
-      result.value = static_cast<uint32_t>(slot.value);
+    if (slot.value != 0) {
+      result.value = slot.handle();
     }
     if (slot.child < 0) {
       return result;
@@ -108,18 +109,16 @@ bool CpeTrie::RemoveAt(int node_idx, const Prefix& prefix, std::optional<Coverin
     // Only the slots the prefix still owns change hands; longer prefixes
     // keep theirs. A covering prefix lands here unless it ends at or above
     // this node's first bit (the root takes every length up to its stride).
-    Slot fallback;
+    uint32_t fallback = 0;
     if (covering && (bit_off == 0 || covering->len > bit_off)) {
-      fallback.value = static_cast<int32_t>(covering->value);
-      fallback.value_plen = covering->len;
+      fallback = Slot::Pack(covering->value, covering->len);
     }
     const uint32_t span = uint32_t{1} << (stride - remaining);
     const uint32_t first = ExtractBits(prefix.addr, bit_off, remaining) << (stride - remaining);
     for (uint32_t i = first; i < first + span; ++i) {
       Slot& slot = slots[i];
-      if (slot.value >= 0 && slot.value_plen == prefix.len) {
-        slot.value = fallback.value;
-        slot.value_plen = fallback.value_plen;
+      if (slot.len_plus_one() == prefix.len + 1u) {
+        slot.value = fallback;
       }
     }
   } else {
@@ -134,7 +133,7 @@ bool CpeTrie::RemoveAt(int node_idx, const Prefix& prefix, std::optional<Coverin
   }
   // The root stays even when empty, as in a fresh trie.
   return node_idx != 0 && std::all_of(slots.begin(), slots.end(), [](const Slot& slot) {
-           return slot.value < 0 && slot.child < 0;
+           return slot.value == 0 && slot.child < 0;
          });
 }
 

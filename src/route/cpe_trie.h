@@ -26,7 +26,7 @@ class CpeTrie {
   explicit CpeTrie(std::vector<int> strides = {16, 8, 8});
 
   // Inserts (or replaces) a prefix mapping to `value`. Value is an opaque
-  // next-hop handle (index into the route table's entry array).
+  // next-hop handle (index into the route table's entry array) below 2^24.
   void Insert(const Prefix& prefix, uint32_t value);
 
   // The longest remaining prefix that contains a withdrawn one.
@@ -54,11 +54,19 @@ class CpeTrie {
   size_t MemoryBytes() const;
 
  private:
+  // 8 bytes, so the stride-16 root is 512 KB.
   struct Slot {
-    int32_t child = -1;       // node index, or -1
-    int32_t value = -1;       // next-hop handle, or -1
-    uint8_t value_plen = 0;   // prefix length that wrote `value` (for priority)
+    int32_t child = -1;  // node index, or -1
+    // Next-hop handle << 8 | (length of the prefix that wrote it + 1), or 0
+    // for none. Longer prefixes take priority, so a slot with no value
+    // compares as shorter than every prefix.
+    uint32_t value = 0;
+
+    static uint32_t Pack(uint32_t handle, uint8_t len) { return handle << 8 | (len + 1u); }
+    uint32_t handle() const { return value >> 8; }
+    uint32_t len_plus_one() const { return value & 0xff; }
   };
+  static_assert(sizeof(Slot) == 8);
   struct Node {
     int level;
     std::vector<Slot> slots;  // empty while the node is free

@@ -1,5 +1,7 @@
 #include "src/route/route_table.h"
 
+#include <cassert>
+
 namespace npr {
 
 void RouteTable::AddRoute(const Prefix& prefix, const RouteEntry& entry) {
@@ -9,6 +11,8 @@ void RouteTable::AddRoute(const Prefix& prefix, const RouteEntry& entry) {
   auto [it, inserted] = entry_index_.try_emplace(prefix, 0);
   if (inserted) {
     if (free_entries_.empty()) {
+      // The trie packs an entry index into 24 bits of its slot.
+      assert(entries_.size() < (size_t{1} << 24) && "route entry indices are 24 bits");
       it->second = static_cast<uint32_t>(entries_.size());
       entries_.emplace_back();
     } else {

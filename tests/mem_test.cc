@@ -12,6 +12,7 @@
 #include "src/ixp/hw_config.h"
 #include "src/mem/memory_system.h"
 #include "src/sim/event_queue.h"
+#include "src/sim/random.h"
 
 namespace npr {
 namespace {
@@ -329,6 +330,146 @@ TEST(BackingStore, FaultFlipLandsInNeverWrittenBytes) {
   EXPECT_EQ(fault.injected(FaultKind::kMemBitFlip), 2u);
   fault.set_armed(false);
   EXPECT_EQ(ReadBytes(store, 0, 256), std::vector<uint8_t>(256, 0));
+}
+
+// Out-of-range accesses assert unless NDEBUG is defined, so only NDEBUG
+// builds (the default RelWithDebInfo among them) issue them below.
+#ifdef NDEBUG
+constexpr bool kOutOfRangeReturns = true;
+#else
+constexpr bool kOutOfRangeReturns = false;
+#endif
+
+// Seeded random Write/Read/WriteU32/ReadU64/Zero calls against a zero-filled
+// vector: single-block, block-spanning and region-spanning (64 KB) accesses,
+// zero-length accesses at size(), and out-of-range ones.
+TEST(BackingStore, MatchesZeroFilledReference) {
+  constexpr size_t kRegion = 64 << 10;
+  Rng rng(0x5eed0b5);
+  for (const size_t size : {size_t{100}, kRegion + 36, size_t{2} << 20}) {
+    SCOPED_TRACE(size);
+    BackingStore store("test", size);
+    std::vector<uint8_t> ref(size, 0);
+    uint64_t expect_oob = 0;
+    // Accesses cluster around a few addresses, so reads meet earlier writes.
+    std::vector<size_t> anchors = {0, size / 2, size};
+    for (size_t region = kRegion; region < size && anchors.size() < 8; region += kRegion) {
+      anchors.push_back(region);
+    }
+    for (int i = 0; i < 4; ++i) {
+      anchors.push_back(rng.Uniform(size));
+    }
+    int spans_block = 0;
+    int spans_region = 0;
+    int at_end = 0;
+    for (int op = 0; op < 12000; ++op) {
+      const int kind = static_cast<int>(rng.Uniform(5));  // Write Read WriteU32 ReadU64 Zero
+      const size_t anchor = anchors[rng.Uniform(anchors.size())];
+      size_t addr = anchor - std::min<size_t>(anchor, rng.Uniform(200));
+      addr = std::min(addr + rng.Uniform(200), size);
+      size_t len = kind == 2 ? 4 : kind == 3 ? 8 : 0;
+      if (len == 0) {
+        switch (rng.Uniform(4)) {
+          case 0:  // inside one block
+            len = 1 + rng.Uniform(64 - addr % 64);
+            break;
+          case 1:  // zero length at the end
+            addr = size;
+            break;
+          default:  // any length, often across blocks
+            len = 1 + rng.Uniform(300);
+            break;
+        }
+      }
+      if (addr + len > size) {
+        if (kOutOfRangeReturns) {
+          ++expect_oob;
+        } else if (kind == 2 || kind == 3) {
+          addr = size - len;
+        } else {
+          len = size - addr;
+        }
+      }
+      const bool ok = addr + len <= size;
+      if (ok && len > 0) {
+        spans_block += addr / 64 != (addr + len - 1) / 64;
+        spans_region += addr / kRegion != (addr + len - 1) / kRegion;
+      }
+      at_end += addr == size && len == 0;
+      const auto a = static_cast<uint32_t>(addr);
+      if (kind == 0 || kind == 2) {
+        std::vector<uint8_t> bytes(len);
+        for (uint8_t& b : bytes) {
+          b = static_cast<uint8_t>(rng.Next());
+        }
+        if (kind == 0) {
+          store.Write(a, bytes);
+        } else {
+          uint32_t word;
+          std::memcpy(&word, bytes.data(), 4);
+          store.WriteU32(a, word);
+        }
+        if (ok) {
+          std::copy(bytes.begin(), bytes.end(), ref.begin() + static_cast<ptrdiff_t>(addr));
+        }
+      } else if (kind == 4) {
+        store.Zero(a, len);
+        if (ok) {
+          std::fill_n(ref.begin() + static_cast<ptrdiff_t>(addr), len, 0);
+        }
+      } else {
+        std::vector<uint8_t> expect(len, 0);
+        if (ok) {
+          std::copy_n(ref.begin() + static_cast<ptrdiff_t>(addr), len, expect.begin());
+        }
+        if (kind == 1) {
+          ASSERT_EQ(ReadBytes(store, a, len), expect) << "op " << op << " addr " << addr;
+        } else {
+          uint64_t word;
+          std::memcpy(&word, expect.data(), 8);
+          ASSERT_EQ(store.ReadU64(a), word) << "op " << op << " addr " << addr;
+        }
+      }
+      ASSERT_EQ(store.oob_errors(), expect_oob) << "op " << op;
+    }
+    EXPECT_GT(spans_block, 0);
+    EXPECT_GT(at_end, 0);
+    EXPECT_EQ(spans_region > 0, size > kRegion);
+    EXPECT_EQ(expect_oob > 0, kOutOfRangeReturns);
+    for (size_t addr = 0; addr < size; addr += 4096) {
+      const size_t len = std::min<size_t>(4096, size - addr);
+      ASSERT_TRUE(std::equal(ref.begin() + static_cast<ptrdiff_t>(addr),
+                             ref.begin() + static_cast<ptrdiff_t>(addr + len),
+                             ReadBytes(store, static_cast<uint32_t>(addr), len).begin()))
+          << addr;
+    }
+  }
+}
+
+// The paper's buffer ring: 8,192 DRAM buffers of 2 KB, each holding one
+// minimum-size packet's 64-byte MP. Stored flat, those MPs would keep every
+// 4 KB page of the ring's 16 MB resident; packed, they and their tables fit
+// in 1.5 MB.
+TEST(BackingStore, RingFirstMpsStayPacked) {
+  BackingStore dram("dram", 32u << 20);
+  // Before any write: the directory (one word per 64 KB) and the slab list.
+  EXPECT_LE(dram.host_bytes(), size_t{16} << 10);
+  std::vector<uint8_t> mp(64);
+  for (uint32_t buf = 0; buf < 8192; ++buf) {
+    std::fill(mp.begin(), mp.end(), static_cast<uint8_t>(buf * 7 + 1));
+    dram.Write(buf * 2048, mp);
+  }
+  const size_t written = dram.host_bytes();
+  EXPECT_GE(written, size_t{8192} * 64);
+  EXPECT_LE(written, size_t{3} << 19);
+  const std::vector<uint8_t> zeros(2048 - 64, 0);
+  for (uint32_t buf = 0; buf < 8192; ++buf) {
+    ASSERT_EQ(ReadBytes(dram, buf * 2048, 64),
+              std::vector<uint8_t>(64, static_cast<uint8_t>(buf * 7 + 1)))
+        << buf;
+    ASSERT_EQ(ReadBytes(dram, buf * 2048 + 64, 2048 - 64), zeros) << buf;
+  }
+  EXPECT_EQ(dram.host_bytes(), written);
 }
 
 #ifdef NDEBUG
