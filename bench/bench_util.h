@@ -197,8 +197,8 @@ inline void Note(const std::string& text) { std::printf("  note: %s\n", text.c_s
 // RecordObserver() folds an attached Observer into the bench output:
 // per-path and per-stage latency percentiles plus the profiler's per-engine
 // cycle accounting. Distributions with no samples are skipped, so a bench
-// that never attached an observer (or a NPR_OBS=OFF build, where the hook
-// sites compile away) emits exactly the same stdout and JSON as before.
+// that never attached an observer emits exactly the same stdout and JSON as
+// before.
 
 inline void AddLatencyRec(std::vector<LatencyRec>* out, const std::string& label,
                           const Histogram& h) {

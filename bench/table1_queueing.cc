@@ -37,8 +37,6 @@ double LineRate8x100() {
   Router router(std::move(cfg));
   // Observability: per-path latency percentiles and per-engine cycle
   // accounting for the end-to-end run land in BENCH_table1_queueing.json.
-  // In a NPR_OBS=OFF build the hook sites compile away, nothing is
-  // collected, and the output is unchanged.
   Observer obs(router.engine());
   router.SetObserver(&obs);
   bench::AddDefaultRoutes(router);
@@ -66,7 +64,7 @@ double FastestFeasibleSystem() {
 // The line-rate run attaches an Observer, so the JSON must carry a path-A
 // distribution, and every recorded path must have positive, ordered
 // percentiles. Prints a FAIL line for each problem.
-[[maybe_unused]] bool PathLatencySane() {
+bool PathLatencySane() {
   bool ok = true;
   bool has_path_a = false;
   for (const bench::LatencyRec& r : bench::State().path_latency) {
@@ -133,8 +131,6 @@ int main() {
     ok &= Check({.label = "steady_allocs", .measured = static_cast<double>(State().steady_allocs),
                  .unit = "allocs", .bound = AtMost(10'000)});
   }
-#if defined(NPR_OBS_ENABLED)
   ok &= PathLatencySane();
-#endif
   return ok ? 0 : 1;
 }

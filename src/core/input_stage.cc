@@ -13,7 +13,7 @@
 namespace npr {
 
 namespace {
-[[maybe_unused]] uint8_t ObsUnitOf(const HwContext& ctx) {
+uint8_t ObsUnitOf(const HwContext& ctx) {
   return ContextUnit(static_cast<uint8_t>(ctx.engine().id()), static_cast<uint8_t>(ctx.index()));
 }
 }  // namespace
@@ -183,10 +183,6 @@ InputStage::Disposition InputStage::ClassifyFirstMp(std::span<uint8_t> mp_bytes,
                                                     uint8_t arrival_port, VrpCost* vrp_cost,
                                                     uint32_t packet_id, uint8_t obs_unit) {
   const RouterConfig& cfg = *core_.config;
-#if !defined(NPR_OBS_ENABLED)
-  (void)packet_id;
-  (void)obs_unit;
-#endif
   Disposition disp;
   ClassifyOutcome outcome = classifier_.Classify(mp_bytes);
 
@@ -520,7 +516,6 @@ Task InputStage::ContextLoop(HwContext& ctx, int member, int ctx_index, uint8_t 
         } else if (core_.bridge != nullptr) {
           NotifyBridge(*core_.bridge);
         }
-#if defined(NPR_OBS_ENABLED)
         if (core_.obs != nullptr) {
           const SpanPoint pt = claim.disp.act == Disposition::Act::kQueue ? SpanPoint::kInEnqueued
                                : claim.disp.act == Disposition::Act::kStrongArm
@@ -528,7 +523,6 @@ Task InputStage::ContextLoop(HwContext& ctx, int member, int ctx_index, uint8_t 
                                    : SpanPoint::kInToPe;
           core_.obs->Record(pt, claim.mp.tag.packet_id, ObsUnitOf(ctx), claim.disp.out_port);
         }
-#endif
       } else {
         core_.stats->dropped_queue_full += 1;
         NPR_OBS_HOOK(core_.obs, Record(SpanPoint::kDropQueueFull, claim.mp.tag.packet_id,

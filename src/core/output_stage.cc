@@ -9,7 +9,7 @@
 namespace npr {
 
 namespace {
-[[maybe_unused]] uint8_t ObsUnitOf(const HwContext& ctx) {
+uint8_t ObsUnitOf(const HwContext& ctx) {
   return ContextUnit(static_cast<uint8_t>(ctx.engine().id()), static_cast<uint8_t>(ctx.index()));
 }
 }  // namespace

@@ -145,8 +145,7 @@ class Router {
 
   // Attaches (or detaches, with nullptr) the observability layer: span
   // tracers on ports/queues/token rings and the cycle profiler on every
-  // MicroEngine. The observer must outlive the attachment. No-op when the
-  // build carries NPR_OBS=OFF (the hook sites compile away).
+  // MicroEngine. The observer must outlive the attachment.
   void SetObserver(Observer* obs);
   Observer* observer() { return core_.obs; }
 

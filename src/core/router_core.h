@@ -79,8 +79,7 @@ struct RouterCore {
   FaultInjector* fault = nullptr;
 
   // Non-null when an Observer is attached (Router::SetObserver); stage
-  // loops emit span records through it. Compile-time gated: with
-  // NPR_OBS_ENABLED undefined the hook sites vanish entirely.
+  // loops emit span records through it.
   Observer* obs = nullptr;
 
   // Non-null when a HealthMonitor is attached (Router::set_health_hooks);

@@ -12,9 +12,7 @@ namespace {
 // A kRecovery span (unit kUnitHealth, arg = RecoveryEvent::Kind) marks the
 // moment service was restored, so flight-recorder dumps taken after a fault
 // show the repair alongside the damage.
-[[maybe_unused]] void RecordRecoverySpan(Router& router, RecoveryEvent::Kind kind) {
-  (void)router;
-  (void)kind;
+void RecordRecoverySpan(Router& router, RecoveryEvent::Kind kind) {
   NPR_OBS_HOOK(router.observer(),
                Record(SpanPoint::kRecovery, 0, kUnitHealth, static_cast<uint16_t>(kind)));
 }

@@ -10,9 +10,7 @@ HwMutex::HwMutex(EventQueue& engine, MemoryChannel& sram, uint32_t grant_cycles)
 void HwMutex::Awaiter::await_suspend(std::coroutine_handle<> h) {
   HwMutex* m = mutex;
   HwContext* c = ctx;
-#if defined(NPR_OBS_ENABLED)
   c->set_wait_class(WaitClass::kMutex);
-#endif
   // The CAM probe is an SRAM access; the context swaps out for it like any
   // other memory reference.
   HwContext::BlockAwaiter block{c};

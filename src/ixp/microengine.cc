@@ -17,21 +17,17 @@ void HwContext::Install(Task task) {
   installed_ = true;
   started_ = false;
   state_ = State::kReady;
-  ready_since_ = me_.event_queue().now();
   me_.EnqueueReady(this);
 }
 
 void HwContext::MakeReady() {
   assert(state_ == State::kBlocked && "MakeReady on a context that is not blocked");
-#if defined(NPR_OBS_ENABLED)
   if (me_.profiler_ != nullptr) {
     me_.profiler_->AddWait(static_cast<uint8_t>(me_.id()), static_cast<uint8_t>(index_),
                            wait_class_, me_.event_queue().now() - blocked_since_);
   }
   wait_class_ = WaitClass::kFifo;
-#endif
   state_ = State::kReady;
-  ready_since_ = me_.event_queue().now();
   me_.EnqueueReady(this);
 }
 
@@ -68,14 +64,7 @@ void HwContext::MemAwaiter::await_suspend(std::coroutine_handle<> h) {
   HwContext* c = ctx;
   assert(c->state_ == State::kRunning);
   c->pending_ = h;
-  if (is_write) {
-    ++c->mem_writes_;
-  } else {
-    ++c->mem_reads_;
-  }
-#if defined(NPR_OBS_ENABLED)
   c->wait_class_ = static_cast<WaitClass>(channel->config().profile_class);
-#endif
   const SimTime done_at = channel->Issue(bytes, is_write, nullptr);
   c->me_.engine_.ScheduleRaw(done_at, [](void* ctx) { static_cast<HwContext*>(ctx)->MakeReady(); },
                              c);
@@ -83,12 +72,10 @@ void HwContext::MemAwaiter::await_suspend(std::coroutine_handle<> h) {
 }
 
 void HwContext::Post(MemoryChannel& channel, uint32_t bytes) {
-  ++mem_writes_;
   channel.Issue(bytes, /*is_write=*/true, nullptr);
 }
 
 void HwContext::PostBurst(MemoryChannel& channel, uint32_t n, uint32_t bytes_each) {
-  mem_writes_ += n;
   channel.IssueBurst(n, bytes_each, /*is_write=*/true, nullptr);
 }
 
@@ -104,7 +91,6 @@ void HwContext::YieldAwaiter::await_suspend(std::coroutine_handle<> h) {
   assert(c->state_ == State::kRunning);
   c->pending_ = h;
   c->state_ = State::kReady;
-  c->ready_since_ = c->me_.event_queue().now();
   c->me_.running_ = nullptr;
   c->me_.EnqueueReady(c);
 }
@@ -144,9 +130,7 @@ void MicroEngine::EnqueueReady(HwContext* ctx) {
 
 void MicroEngine::OnBlocked(HwContext* ctx) {
   assert(running_ == ctx);
-#if defined(NPR_OBS_ENABLED)
   ctx->blocked_since_ = engine_.now();
-#endif
   ctx->state_ = HwContext::State::kBlocked;
   running_ = nullptr;
   Dispatch();
@@ -155,11 +139,9 @@ void MicroEngine::OnBlocked(HwContext* ctx) {
 void MicroEngine::OnComputeStart(HwContext* ctx, uint32_t cycles) {
   assert(running_ == ctx);
   busy_cycles_ += cycles;
-#if defined(NPR_OBS_ENABLED)
   if (profiler_ != nullptr) {
     profiler_->AddCompute(static_cast<uint8_t>(id_), static_cast<uint8_t>(ctx->index_), cycles);
   }
-#endif
   // A computing context keeps the pipeline: it resumes directly, with no
   // dispatch in between (fn-ptr + context, the queue's cheapest shape).
   engine_.ScheduleRaw(engine_.now() + kIxpClock.ToTime(cycles),
@@ -190,7 +172,6 @@ void MicroEngine::Dispatch() {
         HwContext* ctx = self->PopReady();
         assert(ctx->state_ == HwContext::State::kReady);
         ctx->state_ = HwContext::State::kRunning;
-        ctx->ready_wait_ps_ += self->engine_.now() - ctx->ready_since_;
         self->running_ = ctx;
         ctx->ResumeNow();
       },

@@ -117,12 +117,6 @@ class HwContext {
 
   // --- accounting ---
   uint64_t compute_cycles() const { return compute_cycles_; }
-  uint64_t mem_reads() const { return mem_reads_; }
-  uint64_t mem_writes() const { return mem_writes_; }
-  // Time spent waiting for the pipeline after becoming ready (unhidden
-  // latency: all-four-contexts-blocked shows up here as zero, pipeline
-  // contention as positive values).
-  SimTime ready_wait_ps() const { return ready_wait_ps_; }
 
  private:
   friend class MicroEngine;
@@ -143,15 +137,10 @@ class HwContext {
   bool started_ = false;
   State state_ = State::kIdle;
   std::coroutine_handle<> pending_;
-  SimTime ready_since_ = 0;
 
   uint64_t compute_cycles_ = 0;
-  uint64_t mem_reads_ = 0;
-  uint64_t mem_writes_ = 0;
-  SimTime ready_wait_ps_ = 0;
 
-  // Cycle-profiler bookkeeping (only consulted when a profiler is attached
-  // and NPR_OBS_ENABLED is defined; otherwise dead weight of 16 bytes).
+  // Cycle-profiler bookkeeping (only consulted when a profiler is attached).
   SimTime blocked_since_ = 0;
   WaitClass wait_class_ = WaitClass::kFifo;
 };
@@ -176,7 +165,7 @@ class MicroEngine {
   double Utilization(SimTime window_start) const;
 
   // Attaches the cycle-accounting profiler (observability layer); nullptr
-  // detaches. Attribution happens only when NPR_OBS_ENABLED is defined.
+  // detaches.
   void set_profiler(CycleProfiler* profiler) { profiler_ = profiler; }
 
  private:

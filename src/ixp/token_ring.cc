@@ -65,9 +65,7 @@ void TokenRing::Awaiter::await_suspend(std::coroutine_handle<> h) {
   Member& m = ring->members_[static_cast<size_t>(member)];
   assert(!m.waiting && "member already waiting for the token");
   m.waiting = true;
-#if defined(NPR_OBS_ENABLED)
   m.ctx->set_wait_class(WaitClass::kToken);
-#endif
   // The context blocks; Offer() wakes it through its MicroEngine.
   HwContext::BlockAwaiter block{m.ctx};
   block.await_suspend(h);

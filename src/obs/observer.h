@@ -2,10 +2,9 @@
 //
 // Bundles the three tentpole pieces — per-packet span tracing, the
 // cycle-accounting profiler, and the flight recorder — behind one object
-// that Router::SetObserver wires into every hook site. The whole layer is
-// compile-time gated: when NPR_OBS_ENABLED is undefined the hook sites
-// compile to nothing and the simulation is bit-identical to a build that
-// never heard of src/obs.
+// that Router::SetObserver wires into every hook site. With no observer
+// attached a hook site is one null check, and the simulation is
+// bit-identical to a run that attaches one.
 //
 // Record() is the hot path. It never allocates (the ring, the capture
 // buffer, and the in-flight tracker are all pre-sized), never schedules
@@ -24,18 +23,12 @@
 #include "src/sim/event_queue.h"
 #include "src/sim/stats.h"
 
-// Hook-site helper: expands to nothing when the layer is compiled out, to a
-// null-checked call otherwise. `obs` is an Observer*; `stmt` a member call.
-#if defined(NPR_OBS_ENABLED)
+// Hook-site helper: a null-checked call. `obs` is an Observer*; `stmt` a
+// member call.
 #define NPR_OBS_HOOK(obs, stmt)        \
   do {                                 \
     if ((obs) != nullptr) (obs)->stmt; \
   } while (0)
-#else
-#define NPR_OBS_HOOK(obs, stmt) \
-  do {                          \
-  } while (0)
-#endif
 
 namespace npr {
 

@@ -3,9 +3,7 @@
 // A span is one (sim-time, unit, point) stamp on a packet's journey through
 // the router: MAC RX -> input context -> queue -> output context -> MAC TX,
 // plus the StrongARM (path B) and Pentium (path C) detours. Records are
-// fixed-size and the recording path is allocation-free; the layer is
-// compiled out entirely when NPR_OBS_ENABLED is not defined, leaving the
-// simulation bit-identical.
+// fixed-size and the recording path is allocation-free.
 
 #ifndef SRC_OBS_SPAN_H_
 #define SRC_OBS_SPAN_H_

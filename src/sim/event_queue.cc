@@ -31,31 +31,28 @@ void EventQueue::FreeNode(EventNode* n) {
   free_ = n;
 }
 
-void EventQueue::ClearSlotBit(int level, int idx) {
-  const int word = idx >> 6;
-  if ((bitmap_[level][word] &= ~(uint64_t{1} << (idx & 63))) == 0) {
-    summary_[level] &= ~(uint32_t{1} << word);
-  }
-}
-
-int EventQueue::FindSetFrom(int level, int from) const {
-  if (from >= kWheelSlots) {
-    return -1;
-  }
+int EventQueue::FindSetFrom(int from) const {
   int word = from >> 6;
-  const uint64_t bits = bitmap_[level][word] & (~uint64_t{0} << (from & 63));
+  const uint64_t bits = bitmap_[word] & (~uint64_t{0} << (from & 63));
   if (bits != 0) {
     return (word << 6) + std::countr_zero(bits);
   }
-  const uint32_t words = summary_[level] & (~uint32_t{0} << (word + 1));
+  const uint32_t words = summary_ & (~uint32_t{0} << (word + 1));
   if (words == 0) {
     return -1;
   }
   word = std::countr_zero(words);
-  return (word << 6) + std::countr_zero(bitmap_[level][word]);
+  return (word << 6) + std::countr_zero(bitmap_[word]);
 }
 
-void EventQueue::InsertReady(EventNode* n) {
+void EventQueue::InsertNode(EventNode* n) {
+  if (TickOf(n->t) >= next_tick_) {
+    far_.push_back(n);
+    std::push_heap(far_.begin(), far_.end(), FarLater{});
+    return;
+  }
+  // Before the cursor (scheduled at now() by a callback, or after RunUntil
+  // stopped short of a drained bucket): merge into the sorted ready list.
   EventNode** p = &ready_head_;
   while (*p != nullptr && Before(*p, n)) {
     p = &(*p)->next;
@@ -64,33 +61,14 @@ void EventQueue::InsertReady(EventNode* n) {
   *p = n;
 }
 
-void EventQueue::InsertNode(EventNode* n) {
-  if (n->t < ready_limit_) {
-    // Lands inside the already-drained window (e.g. scheduled at now() from
-    // inside a callback): merge into the sorted ready list.
-    InsertReady(n);
-    return;
-  }
-  const int64_t tick = TickOf(n->t);
-  // A node goes into the lowest level whose enclosing window contains the
-  // cursor; within one window, slot indices never collide across rotations.
-  for (int level = 0; level < kLevels; ++level) {
-    const int window_shift = kWheelBits * (level + 1);
-    if ((tick >> window_shift) == (next_tick_ >> window_shift)) {
-      const int idx = static_cast<int>((tick >> (kWheelBits * level)) & kSlotMask);
-      PushSlot(level, idx, n);
-      return;
-    }
-  }
-  far_.push_back(n);
-  std::push_heap(far_.begin(), far_.end(), FarLater{});
-}
-
-EventQueue::EventNode* EventQueue::TakeSlot(int level, int idx) {
-  EventNode* tail = slots_[level][idx];
+EventQueue::EventNode* EventQueue::TakeSlot(int idx) {
+  EventNode* tail = slots_[idx];
   assert(tail != nullptr && "taking an empty slot");
-  slots_[level][idx] = nullptr;
-  ClearSlotBit(level, idx);
+  slots_[idx] = nullptr;
+  const int word = idx >> 6;
+  if ((bitmap_[word] &= ~(uint64_t{1} << (idx & 63))) == 0) {
+    summary_ &= ~(uint32_t{1} << word);
+  }
   EventNode* head = tail->next;
   tail->next = nullptr;
   return head;
@@ -138,8 +116,8 @@ EventQueue::EventNode* EventQueue::SortList(EventNode* head) {
   return sorted;
 }
 
-void EventQueue::DrainLevel0Slot(int idx) {
-  EventNode* head = TakeSlot(0, idx);
+void EventQueue::DrainSlot(int idx) {
+  EventNode* head = TakeSlot(idx);
   // An unflagged slot is already in (t, seq) order and becomes the ready
   // list as it is.
   uint64_t& word = unsorted_[idx >> 6];
@@ -151,95 +129,36 @@ void EventQueue::DrainLevel0Slot(int idx) {
   ready_head_ = head;
 }
 
-void EventQueue::CascadeSlot(int level, int idx) {
-  EventNode* n = TakeSlot(level, idx);
-  while (n != nullptr) {
-    EventNode* next = n->next;
-    InsertNode(n);
-    n = next;
-  }
-}
-
 bool EventQueue::Advance() {
-  if (size_ == 0) {
-    return false;
-  }
   for (;;) {
-    if (ready_head_ != nullptr) {
-      // A cascade or far-heap drain landed nodes directly in ready_.
-      return true;
-    }
-    // Catch the hierarchy up with the cursor. Entering a new window can
-    // happen mid-stream (the drained tick + 1 crosses a window boundary,
-    // and the callback immediately schedules into the new window), so the
-    // incoming window's higher-level slot must cascade down *before* the
-    // level-0 scan — otherwise fresh level-0 events would run ahead of
-    // earlier ones still parked a level up.
-    const int64_t rot = next_tick_ >> (kLevels * kWheelBits);
-    if (rot != caught_up_rot_) {
-      caught_up_rot_ = rot;
-      while (!far_.empty() && (TickOf(far_.front()->t) >> (kLevels * kWheelBits)) == rot) {
-        std::pop_heap(far_.begin(), far_.end(), FarLater{});
-        EventNode* n = far_.back();
-        far_.pop_back();
-        InsertNode(n);
-      }
-    }
-    const int64_t w2 = next_tick_ >> (2 * kWheelBits);
-    if (w2 != caught_up_w2_) {
-      caught_up_w2_ = w2;
-      const int idx2 = static_cast<int>(w2 & kSlotMask);
-      if (slots_[2][idx2] != nullptr) {
-        CascadeSlot(2, idx2);
-      }
-    }
-    const int64_t w1 = next_tick_ >> kWheelBits;
-    if (w1 != caught_up_w1_) {
-      caught_up_w1_ = w1;
-      const int idx1 = static_cast<int>(w1 & kSlotMask);
-      if (slots_[1][idx1] != nullptr) {
-        CascadeSlot(1, idx1);
-      }
-    }
-    // Level 0: next occupied bucket in the current window.
-    int idx = FindSetFrom(0, static_cast<int>(next_tick_ & kSlotMask));
-    if (idx >= 0) {
-      const int64_t tick = ((next_tick_ >> kWheelBits) << kWheelBits) | idx;
-      next_tick_ = tick + 1;
-      ready_limit_ = (tick + 1) << kTickShift;
-      DrainLevel0Slot(idx);
-      return true;
-    }
-    // Level 0 exhausted: cascade the next occupied level-1 slot down (the
-    // cursor's own slot is empty — the catch-up above cascaded it — so the
-    // inclusive scan lands on a strictly later window).
-    idx = FindSetFrom(1, static_cast<int>(w1 & kSlotMask));
-    if (idx >= 0) {
-      const int64_t w1_new = ((w1 >> kWheelBits) << kWheelBits) | idx;
-      next_tick_ = std::max(next_tick_, w1_new << kWheelBits);
-      CascadeSlot(1, idx);
-      continue;
-    }
-    idx = FindSetFrom(2, static_cast<int>(w2 & kSlotMask));
-    if (idx >= 0) {
-      const int64_t w2_new = ((w2 >> kWheelBits) << kWheelBits) | idx;
-      next_tick_ = std::max(next_tick_, w2_new << (2 * kWheelBits));
-      CascadeSlot(2, idx);
-      continue;
-    }
-    // Wheels are empty: jump the cursor to the far-future heap and pull in
-    // everything that now fits under the wheels' span.
-    if (far_.empty()) {
-      return false;
-    }
-    next_tick_ = std::max(next_tick_, TickOf(far_.front()->t));
-    const int64_t rotation = next_tick_ >> (kLevels * kWheelBits);
-    while (!far_.empty() && (TickOf(far_.front()->t) >> (kLevels * kWheelBits)) == rotation) {
+    // Pull before scan: every heap node the span now covers moves into its
+    // slot before the wheel is scanned, or a fresh node further along the
+    // span would run ahead of it. It was scheduled before every node that
+    // reached its slot directly, so PushSlot flags the slot when it lands
+    // behind one.
+    while (!far_.empty() && TickOf(far_.front()->t) - next_tick_ < kWheelSlots) {
       std::pop_heap(far_.begin(), far_.end(), FarLater{});
       EventNode* n = far_.back();
       far_.pop_back();
-      InsertNode(n);
+      PushSlot(static_cast<int>(TickOf(n->t) & kSlotMask), n);
     }
+    // One scan from the cursor, wrapping past slot 1023: slots below the
+    // cursor's hold the next lap's ticks.
+    const int cursor = static_cast<int>(next_tick_ & kSlotMask);
+    int idx = FindSetFrom(cursor);
+    if (idx < 0) {
+      idx = FindSetFrom(0);
+    }
+    if (idx >= 0) {
+      next_tick_ += ((idx - cursor) & kSlotMask) + 1;
+      DrainSlot(idx);
+      return true;
+    }
+    // The wheel is empty: jump the cursor to the heap's top.
+    if (far_.empty()) {
+      return false;
+    }
+    next_tick_ = TickOf(far_.front()->t);
   }
 }
 
@@ -300,15 +219,13 @@ void EventQueue::Clear() {
     ready_head_ = n->next;
     FreeNode(n);
   }
-  for (int level = 0; level < kLevels; ++level) {
-    for (int word = 0; word < kBitmapWords; ++word) {
-      for (uint64_t bits = bitmap_[level][word]; bits != 0; bits &= bits - 1) {
-        EventNode* n = TakeSlot(level, (word << 6) + std::countr_zero(bits));
-        while (n != nullptr) {
-          EventNode* next = n->next;
-          FreeNode(n);
-          n = next;
-        }
+  for (int word = 0; word < kBitmapWords; ++word) {
+    for (uint64_t bits = bitmap_[word]; bits != 0; bits &= bits - 1) {
+      EventNode* n = TakeSlot((word << 6) + std::countr_zero(bits));
+      while (n != nullptr) {
+        EventNode* next = n->next;
+        FreeNode(n);
+        n = next;
       }
     }
   }

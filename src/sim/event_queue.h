@@ -5,17 +5,18 @@
 // instant run in scheduling order (stable FIFO), which keeps runs
 // deterministic and reproducible.
 //
-// The queue is a three-level hierarchical timing wheel over pooled,
-// intrusively-linked event nodes, with a spill-over heap for far-future
-// events (OSPF timers, fault-plan epochs). Nearly every event in the
-// simulator lands a fixed small delta ahead of now (5000 ps MicroEngine
-// ticks, 1364 ps Pentium ticks, bus-cycle multiples), so scheduling and
-// dispatch are O(1) with no heap allocation on the hot path: the callback
-// (an EventFn) is constructed once, inside the 64-byte node that runs it.
-// Same-instant FIFO order is preserved by per-event sequence numbers. Each
-// bucket keeps its nodes in the order they arrived, which is (time, seq)
-// order unless a node lands before the bucket's tail; such a level-0 bucket
-// is flagged and sorted in place when drained.
+// The queue is one timing wheel of 1024 buckets of 4096 ps over pooled,
+// intrusively-linked event nodes, plus a (time, seq) min-heap. The wheel's
+// span slides with its cursor: it always covers the next 1024 ticks
+// (~4.2 us), and a node due later waits in the heap until the span reaches
+// it. Nearly every event in the simulator lands a fixed small delta ahead of
+// now (5000 ps MicroEngine ticks, 1364 ps Pentium ticks, bus-cycle
+// multiples), so scheduling and dispatch are O(1) with no heap allocation on
+// the hot path: the callback (an EventFn) is constructed once, inside the
+// 64-byte node that runs it. Same-instant FIFO order is preserved by
+// per-event sequence numbers. Each bucket keeps its nodes in the order they
+// arrived, which is (time, seq) order unless a node lands before the
+// bucket's tail; such a bucket is flagged and sorted in place when drained.
 
 #ifndef SRC_SIM_EVENT_QUEUE_H_
 #define SRC_SIM_EVENT_QUEUE_H_
@@ -45,7 +46,7 @@ class EventQueue {
 
   // Schedules `f` to run at absolute time `t`. `t` must be >= now(). `f` is
   // anything EventFn accepts; it is constructed directly in the pooled node
-  // that runs it (an EventFn argument is moved in once). Inline: the level-0
+  // that runs it (an EventFn argument is moved in once). Inline: the wheel
   // fast path (the next ~4.2 us, i.e. nearly every event the simulator
   // schedules) is a pool pop plus one list append.
   template <typename F>
@@ -106,7 +107,7 @@ class EventQueue {
 
  private:
   // One pooled event. Exactly one cache line: nodes never move once
-  // allocated (lists and the far-heap hold pointers), and the callback is
+  // allocated (lists and the heap hold pointers), and the callback is
   // written once, into the node's EventFn, by the Schedule* call that takes
   // the node from the pool.
   struct EventNode {
@@ -117,14 +118,13 @@ class EventQueue {
   };
   static_assert(sizeof(EventNode) == 64, "an event node is one cache line");
 
-  // Level-0 buckets are 4096 ps (~4.1 ns, just under one 5 ns IXP cycle) so
-  // consecutive MicroEngine ticks land in consecutive buckets. Each level
-  // has 1024 slots: level 0 spans ~4.2 us, level 1 ~4.3 ms, level 2 ~4.4 s.
-  // Anything further out (OSPF hellos, fault epochs) spills to a heap.
+  // Buckets are 4096 ps (~4.1 ns, just under one 5 ns IXP cycle) so
+  // consecutive MicroEngine ticks land in consecutive buckets. The wheel's
+  // 1024 buckets span ~4.2 us ahead of the cursor; anything further out
+  // (wire backlogs, OSPF hellos, fault epochs) waits in the heap.
   static constexpr int kTickShift = 12;
   static constexpr int kWheelBits = 10;
   static constexpr int kWheelSlots = 1 << kWheelBits;
-  static constexpr int kLevels = 3;
   static constexpr int kBitmapWords = kWheelSlots / 64;
   static constexpr int64_t kSlotMask = kWheelSlots - 1;
   static constexpr int kChunkNodes = 512;
@@ -156,10 +156,11 @@ class EventQueue {
     n->t = t;
     n->seq = next_seq_++;
     ++size_;
+    // One compare bounds both ends of the span: a tick the cursor has
+    // already passed wraps to a huge unsigned distance.
     const int64_t tick = TickOf(t);
-    if (t >= ready_limit_ && (tick >> kWheelBits) == (next_tick_ >> kWheelBits))
-        [[likely]] {
-      PushSlot(0, static_cast<int>(tick & kSlotMask), n);
+    if (static_cast<uint64_t>(tick - next_tick_) < kWheelSlots) [[likely]] {
+      PushSlot(static_cast<int>(tick & kSlotMask), n);
     } else {
       InsertNode(n);
     }
@@ -167,37 +168,37 @@ class EventQueue {
   // Grows the node pool by one chunk; returns the new free-list head.
   EventNode* RefillPool();
   void FreeNode(EventNode* n);
+  // Files a node outside the span: into the ready list if its tick is
+  // before the cursor, else into the heap.
   void InsertNode(EventNode* n);
-  void InsertReady(EventNode* n);
   // Appends `n` to a slot. A slot points at its tail, whose `next` closes
-  // the circle back to the head, so append and drain are O(1). A level-0
-  // slot whose new node sorts before the old tail is flagged unsorted.
-  void PushSlot(int level, int idx, EventNode* n) {
-    EventNode* tail = slots_[level][idx];
+  // the circle back to the head, so append and drain are O(1). A slot whose
+  // new node sorts before the old tail is flagged unsorted.
+  void PushSlot(int idx, EventNode* n) {
+    EventNode* tail = slots_[idx];
     if (tail == nullptr) {
       n->next = n;
-      bitmap_[level][idx >> 6] |= uint64_t{1} << (idx & 63);
-      summary_[level] |= uint32_t{1} << (idx >> 6);
+      bitmap_[idx >> 6] |= uint64_t{1} << (idx & 63);
+      summary_ |= uint32_t{1} << (idx >> 6);
     } else {
       n->next = tail->next;
       tail->next = n;
-      if (level == 0 && Before(n, tail)) [[unlikely]] {
+      if (Before(n, tail)) [[unlikely]] {
         unsorted_[idx >> 6] |= uint64_t{1} << (idx & 63);
       }
     }
-    slots_[level][idx] = n;
+    slots_[idx] = n;
   }
   // Unlinks a slot's circle; returns its head as a null-terminated list.
-  EventNode* TakeSlot(int level, int idx);
-  void ClearSlotBit(int level, int idx);
-  int FindSetFrom(int level, int from) const;
-  void CascadeSlot(int level, int idx);
-  void DrainLevel0Slot(int idx);
+  EventNode* TakeSlot(int idx);
+  // First occupied slot at or after `from`, or -1.
+  int FindSetFrom(int from) const;
+  void DrainSlot(int idx);
   // Sorts a null-terminated list on (t, seq), in place.
   static EventNode* SortList(EventNode* head);
   static EventNode* MergeLists(EventNode* a, EventNode* b);
-  // Refills ready_ with the next due bucket (cascading and draining the
-  // far-heap as needed). Returns false when nothing is pending.
+  // Refills ready_ with the next due bucket, moving heap nodes into the
+  // wheel as its span reaches them. Returns false when nothing is pending.
   bool Advance();
 
   SimTime now_ = 0;
@@ -205,30 +206,24 @@ class EventQueue {
   uint64_t events_run_ = 0;
   size_t size_ = 0;
 
-  // Drained events waiting to run, sorted by (t, seq). All have t <
-  // ready_limit_; a callback scheduling into that window inserts here.
+  // Drained events waiting to run, sorted by (t, seq). All have ticks
+  // before the cursor; a callback scheduling there inserts here.
   EventNode* ready_head_ = nullptr;
-  SimTime ready_limit_ = 0;
-  // First level-0 tick not yet drained (the wheel cursor).
+  // First tick not yet drained (the wheel cursor). The span is
+  // [next_tick_, next_tick_ + kWheelSlots); tick k lives in slot k & kSlotMask.
   int64_t next_tick_ = 0;
-  // Windows whose higher-level slot has already been cascaded down to the
-  // cursor (Advance's catch-up step). All start at window 0, whose slots
-  // are empty at construction.
-  int64_t caught_up_w1_ = 0;
-  int64_t caught_up_w2_ = 0;
-  int64_t caught_up_rot_ = 0;
 
   // Each slot points at the tail of its circular list (nullptr if empty).
-  EventNode* slots_[kLevels][kWheelSlots] = {};
-  uint64_t bitmap_[kLevels][kBitmapWords] = {};
-  // Bit w set iff bitmap_[level][w] != 0: one load decides where the next
+  EventNode* slots_[kWheelSlots] = {};
+  uint64_t bitmap_[kBitmapWords] = {};
+  // Bit w set iff bitmap_[w] != 0: one load decides where the next
   // occupied slot is instead of walking all 16 bitmap words.
-  uint32_t summary_[kLevels] = {};
-  // Level-0 slots whose list is not in (t, seq) order: a cascaded node
+  uint32_t summary_ = 0;
+  // Slots whose list is not in (t, seq) order: a node moved in from the heap
   // landed behind fresh ones, or an earlier instant of the same bucket was
   // scheduled after a later one.
   uint64_t unsorted_[kBitmapWords] = {};
-  std::vector<EventNode*> far_;  // min-heap on (t, seq)
+  std::vector<EventNode*> far_;  // min-heap on (t, seq): ticks past the span
 
   std::vector<std::unique_ptr<EventNode[]>> chunks_;
   EventNode* free_ = nullptr;

@@ -1,8 +1,7 @@
 // Observability layer: per-packet span tracing, the cycle-accounting
 // profiler, and the fault-triggered flight recorder.
 //
-// Three end-to-end properties (they need NPR_OBS_ENABLED and skip
-// otherwise), one that holds in any build, and component unit tests:
+// Four end-to-end properties and component unit tests:
 //   1. golden trace — the full span stream of the Table 1 line-rate config
 //      at a fixed seed is bit-identical across runs and matches the golden
 //      committed under tests/data/ (regenerate with NPR_REGEN_GOLDEN=1);
@@ -113,9 +112,6 @@ std::vector<SpanRecord> CaptureLineRateTrace() {
 }
 
 TEST(GoldenTraceTest, LineRateSpanStreamIsDeterministicAndMatchesGolden) {
-#if !defined(NPR_OBS_ENABLED)
-  GTEST_SKIP() << "built with NPR_OBS=OFF";
-#else
   const std::vector<SpanRecord> first = CaptureLineRateTrace();
   const std::vector<SpanRecord> second = CaptureLineRateTrace();
   ASSERT_GT(first.size(), 10'000u) << "line-rate run produced almost no spans";
@@ -158,15 +154,11 @@ TEST(GoldenTraceTest, LineRateSpanStreamIsDeterministicAndMatchesGolden) {
   EXPECT_EQ(golden, expected)
       << "span stream diverged from the committed golden; if the router's "
          "timing changed intentionally, regenerate with NPR_REGEN_GOLDEN=1";
-#endif
 }
 
 // --- reconciliation: span fold == RouterStats, profiler == engines -------
 
 TEST(ReconciliationTest, SpanFoldMatchesRouterStatsAcrossSeedsAndFaults) {
-#if !defined(NPR_OBS_ENABLED)
-  GTEST_SKIP() << "built with NPR_OBS=OFF";
-#else
   struct Case {
     uint64_t seed;
     bool chaos;
@@ -261,15 +253,11 @@ TEST(ReconciliationTest, SpanFoldMatchesRouterStatsAcrossSeedsAndFaults) {
       }
     }
   }
-#endif
 }
 
 // --- flight recorder ------------------------------------------------------
 
 TEST(FlightRecorderTest, VrpTrapDumpContainsFaultedPacketChain) {
-#if !defined(NPR_OBS_ENABLED)
-  GTEST_SKIP() << "built with NPR_OBS=OFF";
-#else
   FaultPlan plan;
   plan.vrp_trap_p = 1.0;  // the first VRP run traps
   RouterConfig cfg;
@@ -316,13 +304,9 @@ TEST(FlightRecorderTest, VrpTrapDumpContainsFaultedPacketChain) {
   const std::string text = FlightRecorder::Format(dump);
   EXPECT_NE(text.find("vrp_trap"), std::string::npos);
   EXPECT_NE(text.find("fault"), std::string::npos);
-#endif
 }
 
 TEST(FlightRecorderTest, LostTokenDumpAndRecoverySpanAfterMttr) {
-#if !defined(NPR_OBS_ENABLED)
-  GTEST_SKIP() << "built with NPR_OBS=OFF";
-#else
   FaultPlan plan;
   plan.token_lost_p = 5e-5;
   RouterConfig cfg;
@@ -373,7 +357,6 @@ TEST(FlightRecorderTest, LostTokenDumpAndRecoverySpanAfterMttr) {
       break;
     }
   }
-#endif
 }
 
 // Observing does not change the simulation. Each case is one of the

@@ -174,17 +174,17 @@ TEST(EventQueue, EarlierInstantScheduledLaterIntoBucketRunsFirst) {
   EXPECT_EQ(ran, scheduled);
 }
 
-// A node parked a level up cascades into its level-0 bucket behind fresh
-// nodes scheduled there after the cursor crossed into the window; at a tie
-// in time it still runs first, because it was scheduled first.
+// A node waiting in the heap moves into its bucket behind fresh nodes
+// scheduled there after the wheel's span slid over it; at a tie in time it
+// still runs first, because it was scheduled first.
 TEST(EventQueue, CascadedNodeRunsBeforeLaterScheduledTie) {
-  constexpr SimTime kWindow = SimTime{1} << 22;  // level-0 span: 1024 x 4096 ps
+  constexpr SimTime kWindow = SimTime{1} << 22;  // the wheel's span: 1024 x 4096 ps
   EventQueue q;
   std::vector<int> order;
-  q.Schedule(kWindow + 100, [&] { order.push_back(2); });  // parked at level 1
+  q.Schedule(kWindow + 100, [&] { order.push_back(2); });  // one span out: the heap
   q.Schedule(kWindow - 4096, [&] {
-    // The cursor is now in window 1: both land at level 0, in the bucket
-    // the parked node cascades into.
+    // The span now reaches kWindow: both go straight into the bucket the
+    // waiting node moves into.
     order.push_back(0);
     q.Schedule(kWindow + 50, [&] { order.push_back(1); });
     q.Schedule(kWindow + 100, [&] { order.push_back(3); });
@@ -193,17 +193,17 @@ TEST(EventQueue, CascadedNodeRunsBeforeLaterScheduledTie) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
-// Regression test for the window-boundary cascade: an event parked one
-// level up in the incoming window must run before a level-0 event that a
-// callback schedules after the cursor has already crossed the boundary.
+// Regression test for pull-before-scan: an event waiting in the heap that
+// the span has just reached must run before a later event that a callback
+// schedules straight into the wheel once the span covers both.
 TEST(EventQueue, WindowCrossingCascadesBeforeFreshLevel0Events) {
-  constexpr SimTime kWindow = SimTime{1} << 22;  // level-0 span: 1024 x 4096 ps
+  constexpr SimTime kWindow = SimTime{1} << 22;  // the wheel's span: 1024 x 4096 ps
   EventQueue q;
   std::vector<int> order;
-  // Parked at level 1 (scheduled while the cursor is still in window 0).
+  // Past the span while the cursor is at tick 0: waits in the heap.
   q.Schedule(kWindow + 2 * 4096, [&] { order.push_back(1); });
-  // Last bucket of window 0; its callback schedules into window 1 at a time
-  // *later* than the parked event but at level 0.
+  // Its callback schedules, straight into the wheel, a time *later* than
+  // the waiting event.
   q.Schedule(kWindow - 4096, [&] {
     order.push_back(0);
     q.Schedule(kWindow + 3 * 4096, [&] { order.push_back(2); });
@@ -213,8 +213,9 @@ TEST(EventQueue, WindowCrossingCascadesBeforeFreshLevel0Events) {
   EXPECT_EQ(q.now(), kWindow + 3 * 4096);
 }
 
-// Exercise every carry level: level-1 window (2^22 ps), level-2 window
-// (2^32 ps), and the far-future heap past the wheels' span (2^42 ps).
+// Times on both sides of the wheel's span (2^22 ps from tick 0) and of
+// 2^32 and 2^42 ps: each goes into the wheel or waits in the heap, and
+// fires at its own time.
 TEST(EventQueue, BoundaryCrossingsRunAtExactTimes) {
   const std::vector<SimTime> deltas = {
       1,
@@ -231,6 +232,50 @@ TEST(EventQueue, BoundaryCrossingsRunAtExactTimes) {
   }
   q.RunAll();
   EXPECT_EQ(fired, deltas);  // already ascending; each fires at its own t
+}
+
+// The span slides with the cursor. (a) With the cursor in a lap's last slot,
+// the next lap's ticks sit in the slots below it, so the scan must wrap;
+// kWheelSlots - 1 ticks ahead is the span's last tick, kWheelSlots ahead
+// the heap's first. (b) A lone event 1 s out is reached by jumping an empty
+// wheel to the heap's top, and the near events its callback schedules run
+// after it, in order.
+TEST(EventQueue, SlidingSpanWrapsLapsAndJumpsEmptyWheelToHeap) {
+  constexpr SimTime kTick = 4096;
+  constexpr SimTime kWheelSlots = 1024;
+  EventQueue q;
+  std::vector<std::pair<SimTime, int>> ran;
+  auto record = [&ran, &q](int id) { return [&ran, &q, id] { ran.emplace_back(q.now(), id); }; };
+  const SimTime cursor = (kWheelSlots - 1) * kTick;  // the lap's last slot
+  q.Schedule((kWheelSlots - 2) * kTick + 7, [&] {
+    // Draining tick 1022 left the cursor at tick 1023, slot 1023.
+    q.Schedule(cursor + kWheelSlots * kTick, record(5));        // heap
+    q.Schedule(cursor + (kWheelSlots - 1) * kTick, record(4));  // slot 1022
+    q.Schedule(cursor + 2 * kTick + 1, record(3));              // slot 1
+    q.Schedule(cursor + kTick + 9, record(2));                  // slot 0
+    q.Schedule(cursor + kTick + 3, record(1));                  // slot 0
+  });
+  q.RunAll();
+  EXPECT_EQ(ran, (std::vector<std::pair<SimTime, int>>{
+                     {cursor + kTick + 3, 1},
+                     {cursor + kTick + 9, 2},
+                     {cursor + 2 * kTick + 1, 3},
+                     {cursor + (kWheelSlots - 1) * kTick, 4},
+                     {cursor + kWheelSlots * kTick, 5},
+                 }));
+
+  ran.clear();
+  const SimTime far = q.now() + kPsPerSec + 123;
+  q.Schedule(far, [&] {
+    ran.emplace_back(q.now(), 0);
+    q.Schedule(q.now() + 3 * kTick, record(3));
+    q.Schedule(q.now(), record(1));
+    q.Schedule(q.now() + 1, record(2));
+  });
+  EXPECT_EQ(q.RunAll(), 4u);
+  EXPECT_EQ(ran, (std::vector<std::pair<SimTime, int>>{
+                     {far, 0}, {far, 1}, {far + 1, 2}, {far + 3 * kTick, 3}}));
+  EXPECT_EQ(q.pending(), 0u);
 }
 
 TEST(EventQueue, RunAllReportsTruncation) {
@@ -277,7 +322,7 @@ struct ResumeAt {
 ResumeProbe ResumeTwice(EventQueue* q, std::vector<SimTime>* seen) {
   co_await ResumeAt{q, 5000};
   seen->push_back(q->now());
-  co_await ResumeAt{q, 2 * kPsPerMs};  // far enough to park above level 0
+  co_await ResumeAt{q, 2 * kPsPerMs};  // past the wheel's span: the heap
   seen->push_back(q->now());
 }
 
