@@ -236,17 +236,18 @@ int main(int argc, char** argv) {
 
   bool ok = bench::EmitJson("cluster_scale") == 0;
   // Footprint: a router's simulated memories keep the blocks a run writes
-  // packed in slabs, not the pages those blocks span (docs/perf.md, "Router
-  // construction and footprint"), so the process peaks at 22-33 MB from 1
-  // to 8 threads. The bound fails a store that keeps each written block's
-  // 4 KB page resident (68-76 MB). Skipped when allocation counting is
-  // compiled out, which covers sanitizer builds, whose shadow memory
-  // inflates RSS.
+  // packed in slabs, its route trie the slot pages it writes, and its TX
+  // path minimum frames in 64-byte buffers (docs/perf.md, "Router
+  // construction and footprint"), so the process peaks at 12.5-16 MB from
+  // 1 to 8 threads. The bound fails a 512 KB stride-16 root per router plus
+  // MTU buffers for minimum frames (22-32 MB). Skipped when allocation
+  // counting is compiled out, which covers sanitizer builds, whose shadow
+  // memory inflates RSS.
   if (AllocCount() > 0) {
     rusage usage{};
     getrusage(RUSAGE_SELF, &usage);
     ok &= Check({.label = "peak_rss_mb", .measured = static_cast<double>(usage.ru_maxrss) / 1024,
-                 .unit = "MB", .bound = AtMost(64)});
+                 .unit = "MB", .bound = AtMost(20)});
   }
   return ok ? 0 : 1;
 }

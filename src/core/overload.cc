@@ -1,6 +1,7 @@
 #include "src/core/overload.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "src/net/ipv4.h"
 #include "src/obs/observer.h"
@@ -30,7 +31,10 @@ bool IsControlFrame(const Packet& packet) {
 }  // namespace
 
 OverloadGovernor::OverloadGovernor(Router& router, OverloadConfig config)
-    : router_(router), cfg_(config), rng_(config.seed) {
+    : router_(router),
+      cfg_(config),
+      rng_(config.seed),
+      offered_(static_cast<size_t>(router.num_ports())) {
   router_.SetGovernor(this);
   router_.engine().ScheduleIn(cfg_.tick_ps, [this] { Tick(); });
 }
@@ -57,7 +61,7 @@ RxVerdict OverloadGovernor::AdmitFrame(uint8_t port, const Packet& packet,
   const uint32_t src = SrcIpOf(packet);
   // Offered-load accounting feeds next tick's heavy-hitter set; counting
   // from stage 1 gives stage 2 a full tick of history on arrival.
-  offered_by_src_[port][src] += 1;
+  CountOffered(port, src);
 
   if (stage_ >= 4) {
     router_.stats().gov_quenched += 1;
@@ -160,30 +164,66 @@ void OverloadGovernor::SetStage(int next) {
   }
 }
 
+OverloadGovernor::SourceCount& OverloadGovernor::ProbeSource(std::vector<SourceCount>& buckets,
+                                                             uint32_t src) {
+  const size_t mask = buckets.size() - 1;
+  size_t i = static_cast<size_t>((uint64_t{src} * 0x9e3779b97f4a7c15ULL) >>
+                                 (64 - std::countr_zero(buckets.size())));
+  while (buckets[i].frames != 0 && buckets[i].src != src) {
+    i = (i + 1) & mask;
+  }
+  return buckets[i];
+}
+
+void OverloadGovernor::CountOffered(uint8_t port, uint32_t src) {
+  OfferedTable& table = offered_[port];
+  if (2 * (table.used + 1) > table.buckets.size()) {
+    std::vector<SourceCount> old = std::move(table.buckets);
+    table.buckets.assign(old.empty() ? 16 : 2 * old.size(), SourceCount{});
+    for (const SourceCount& bucket : old) {
+      if (bucket.frames != 0) {
+        ProbeSource(table.buckets, bucket.src) = bucket;
+      }
+    }
+  }
+  SourceCount& bucket = ProbeSource(table.buckets, src);
+  if (bucket.frames == 0) {
+    bucket.src = src;
+    ++table.used;
+  }
+  ++bucket.frames;
+}
+
 void OverloadGovernor::RebuildHotSets() {
   hot_.clear();
-  for (const auto& [port, by_src] : offered_by_src_) {
+  for (size_t port = 0; port < offered_.size(); ++port) {
+    OfferedTable& table = offered_[port];
+    if (table.used == 0) {
+      continue;
+    }
     uint64_t total = 0;
-    for (const auto& [src, n] : by_src) {
-      total += n;
+    for (const SourceCount& bucket : table.buckets) {
+      total += bucket.frames;
     }
     const uint64_t threshold =
         std::max<uint64_t>(cfg_.hh_min_frames,
                            static_cast<uint64_t>(cfg_.hh_share * static_cast<double>(total)));
-    for (const auto& [src, n] : by_src) {
-      if (n >= threshold) {
-        hot_[port].insert(src);
+    for (SourceCount& bucket : table.buckets) {
+      if (bucket.frames != 0 && bucket.frames >= threshold) {
+        hot_[static_cast<uint8_t>(port)].insert(bucket.src);
       }
+      bucket = SourceCount{};
     }
+    table.used = 0;
   }
-  offered_by_src_.clear();
 }
 
 void OverloadGovernor::ThrottleExtensions() {
   // Every active general extension in the chain is throttled (packets take
   // the default IP transform); only handles this governor set are tracked,
   // so a pre-existing quarantine throttle is left alone and never lifted
-  // from here.
+  // from here. SetThrottled only marks the kept chain stale, so the loop
+  // walks the chain it started with.
   for (const auto& entry : router_.istore().GeneralChain()) {
     if (!router_.istore().IsThrottled(entry.id)) {
       router_.istore().SetThrottled(entry.id, true);

@@ -119,6 +119,7 @@ class OverloadGovernor : public RxGovernorHooks {
   void Tick();
   double Pressure();
   void SetStage(int next);
+  void CountOffered(uint8_t port, uint32_t src);
   void RebuildHotSets();
   void ThrottleExtensions();
   void LiftThrottles();
@@ -134,9 +135,22 @@ class OverloadGovernor : public RxGovernorHooks {
   uint64_t escalations_ = 0;
   uint64_t control_admitted_ = 0;
 
-  // Per-port offered-frame counts by source IP over the current tick
-  // (ordered maps/sets: deterministic iteration).
-  std::map<uint8_t, std::map<uint32_t, uint64_t>> offered_by_src_;
+  // Offered frames by source IP over the current tick, one table per port:
+  // open addressing with linear probing, a power-of-two bucket count and
+  // load at most 1/2. Each tick clears the buckets in place, so counting a
+  // frame allocates nothing once a port has seen its busiest tick. Totals
+  // are sums and hot sets are sets, so no result depends on bucket order.
+  struct SourceCount {
+    uint32_t src;
+    uint32_t frames;  // 0 marks an empty bucket (source 0 is a valid key)
+  };
+  struct OfferedTable {
+    std::vector<SourceCount> buckets;
+    size_t used = 0;
+  };
+  // The bucket holding `src`, or the empty bucket that ends its probe run.
+  static SourceCount& ProbeSource(std::vector<SourceCount>& buckets, uint32_t src);
+  std::vector<OfferedTable> offered_;
   std::map<uint8_t, std::set<uint32_t>> hot_;
   std::map<uint32_t, uint64_t> quench_by_src_;
 

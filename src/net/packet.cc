@@ -129,10 +129,11 @@ void MpReassembler::EnsureRoom(uint32_t need) {
   if (partial_ != nullptr && need <= partial_->capacity) {
     return;
   }
-  // Grow: pooled jumbo first, heap as the backstop. Start MTU-sized.
+  // Take (or grow into) the smallest pooled class that fits, the heap as
+  // the backstop. Accept sizes the first buffer of a frame.
   FrameBuf* grown = pool_ != nullptr ? pool_->TryAcquire(need) : nullptr;
   if (grown == nullptr) {
-    grown = PacketPool::AcquireHeap(need < kEthMaxFrame ? kEthMaxFrame : need);
+    grown = PacketPool::AcquireHeap(need);
   }
   if (partial_ != nullptr) {
     std::memcpy(grown->data(), partial_->data(), offset_);
@@ -153,7 +154,9 @@ std::optional<Packet> MpReassembler::Accept(const Mp& mp) {
     offset_ = 0;
     in_packet_ = true;
     first_tag_ = mp.tag;
-    EnsureRoom(kEthMaxFrame);
+    // A frame that ends in its first MP takes only that MP's bytes (the
+    // 64-byte class); a longer one starts MTU-sized.
+    EnsureRoom(mp.tag.eop ? mp.tag.bytes : kEthMaxFrame);
   } else if (!in_packet_) {
     ++protocol_errors_;
     return std::nullopt;

@@ -204,8 +204,9 @@ class MpCursor {
 
 // Rebuilds frames from MPs arriving in order, as the transmitting MAC does.
 // One instance per output port. With a pool attached the partial frame is
-// assembled directly in a pooled MTU-class buffer (heap fallback when the
-// pool is capped out, so reassembly never wedges the TX path).
+// assembled directly in a pooled buffer: the 64-byte class for a frame of
+// one MP, MTU-class for a longer one (heap fallback when the pool is capped
+// out, so reassembly never wedges the TX path).
 class MpReassembler {
  public:
   MpReassembler() = default;

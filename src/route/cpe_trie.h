@@ -7,11 +7,20 @@
 // paper reports this algorithm costs ~236 cycles per packet on the
 // StrongARM, far beyond the VRP budget, which is why full lookups run above
 // the MicroEngines while the fast path uses a route cache.
+//
+// Host layout: host memory follows the slots a table writes, not the
+// 2^stride slots a node spans. A node's slots live in 256-slot (2 KB)
+// pages carved from 64 KB slabs; a page is taken and zeroed on the first
+// write into it, and a read of a page never written sees an empty slot.
+// So the stride-16 root of a table holding a handful of routes costs one
+// or two pages, not 512 KB. MemoryBytes() still describes the hardware
+// layout (docs/perf.md, "Router construction and footprint").
 
 #ifndef SRC_ROUTE_CPE_TRIE_H_
 #define SRC_ROUTE_CPE_TRIE_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -48,38 +57,75 @@ class CpeTrie {
   LookupResult Lookup(uint32_t ip) const;
 
   // Live nodes; unlinked ones wait in a free list for the next insert.
-  size_t node_count() const { return nodes_.size() - free_nodes_.size(); }
-  size_t allocated_nodes() const { return nodes_.size(); }
-  // Total table memory if each slot were a 4-byte SRAM word.
+  size_t node_count() const;
+  size_t allocated_nodes() const;
+  // Total table memory if each slot were a 4-byte SRAM word: 2^stride
+  // words per live node, written or not.
   size_t MemoryBytes() const;
 
+  // Slot pages in use (an unlinked node's pages wait in a free list).
+  size_t pages() const { return pages_; }
+  // Host memory the trie holds: slabs, slab list and page references.
+  size_t host_bytes() const;
+
  private:
-  // 8 bytes, so the stride-16 root is 512 KB.
+  // 8 bytes. A zeroed slot is empty: the root is node 0 and never a child,
+  // so child 0 means none.
   struct Slot {
-    int32_t child = -1;  // node index, or -1
+    uint32_t child;  // node, or 0
     // Next-hop handle << 8 | (length of the prefix that wrote it + 1), or 0
     // for none. Longer prefixes take priority, so a slot with no value
     // compares as shorter than every prefix.
-    uint32_t value = 0;
+    uint32_t value;
 
     static uint32_t Pack(uint32_t handle, uint8_t len) { return handle << 8 | (len + 1u); }
     uint32_t handle() const { return value >> 8; }
     uint32_t len_plus_one() const { return value & 0xff; }
   };
   static_assert(sizeof(Slot) == 8);
-  struct Node {
-    int level;
-    std::vector<Slot> slots;  // empty while the node is free
-  };
+  static constexpr unsigned kPageShift = 8;  // 256 slots (2 KB) per page
+  static constexpr uint32_t kPageSlots = uint32_t{1} << kPageShift;
+  static constexpr unsigned kSlabShift = 5;  // 32 pages (64 KB) per slab
+  static constexpr uint32_t kSlabPages = uint32_t{1} << kSlabShift;
 
-  int NewNode(int level);
-  void InsertAt(int node_idx, uint32_t addr, uint8_t len, uint32_t value, int bit_off);
+  // A node smaller than a page uses the first 2^stride slots of one.
+  uint32_t PagesPerNode(size_t level) const {
+    const int stride = strides_[level];
+    return stride > static_cast<int>(kPageShift) ? uint32_t{1} << (stride - kPageShift) : 1;
+  }
+  // Slot `idx` of `node`, or nullptr if its page was never written.
+  Slot* Find(uint32_t node, uint32_t idx) const {
+    Slot* page = page_refs_[node + (idx >> kPageShift)];
+    return page == nullptr ? nullptr : page + (idx & (kPageSlots - 1));
+  }
+  // Page `page` of `node`, taken and zeroed if it was never written.
+  Slot* PageForWrite(uint32_t node, uint32_t page);
+  Slot* TakePage();
+  // Calls fn(Slot&) on slots [first, end) of `node`, a page at a time.
+  template <typename Fn>
+  void ForEachSlot(uint32_t node, uint32_t first, uint32_t end, Fn fn);
+
+  uint32_t NewNode(size_t level);
+  void FreeNode(uint32_t node, size_t level);
+  bool IsEmpty(uint32_t node, size_t level) const;
+  void InsertAt(uint32_t node, size_t level, uint32_t addr, uint8_t len, uint32_t value,
+                int bit_off);
   // Returns true when the node is left empty for its parent to unlink.
-  bool RemoveAt(int node_idx, const Prefix& prefix, std::optional<Covering> covering, int bit_off);
+  bool RemoveAt(uint32_t node, size_t level, const Prefix& prefix,
+                std::optional<Covering> covering, int bit_off);
 
   std::vector<int> strides_;
-  std::vector<Node> nodes_;
-  std::vector<int> free_nodes_;
+  // A node at `level` is named by the index of its first page reference:
+  // it owns page_refs_[node, node + PagesPerNode(level)). A reference is
+  // null until the page is written. The root is node 0.
+  std::vector<Slot*> page_refs_;
+  std::vector<uint32_t> carved_nodes_;            // nodes ever made, per level
+  std::vector<std::vector<uint32_t>> free_nodes_;  // unlinked nodes, per level
+  std::vector<std::unique_ptr<Slot[]>> slabs_;
+  uint32_t next_page_ = 0;  // pages carved from slabs so far
+  // Freed pages, chained through the first 8 bytes of each.
+  Slot* free_page_ = nullptr;
+  size_t pages_ = 0;
 };
 
 }  // namespace npr

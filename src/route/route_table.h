@@ -6,8 +6,8 @@
 #ifndef SRC_ROUTE_ROUTE_TABLE_H_
 #define SRC_ROUTE_ROUTE_TABLE_H_
 
+#include <bit>
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -41,11 +41,12 @@ class RouteTable {
   };
   LookupResult Lookup(uint32_t dst_ip) const;
 
-  size_t size() const { return entry_index_.size(); }
+  size_t size() const { return count_; }
   // Bumped on every mutation; route caches use it for invalidation.
   uint64_t epoch() const { return epoch_; }
 
-  // All installed routes (for diagnostics and the control plane).
+  // All installed routes in prefix order (for diagnostics and the control
+  // plane).
   std::vector<std::pair<Prefix, RouteEntry>> Dump() const;
 
   // The lookup structure, for its node and memory accounting.
@@ -54,9 +55,33 @@ class RouteTable {
   size_t entry_slots() const { return entries_.size(); }
 
  private:
-  std::vector<RouteEntry> entries_;        // trie values index into this
-  std::vector<uint32_t> free_entries_;     // withdrawn slots of entries_
-  std::map<Prefix, uint32_t> entry_index_; // installed prefix -> slot in entries_
+  // One bucket of the prefix index: an installed prefix's key and its slot
+  // in entries_. Key 0 marks an empty bucket (a key's low bits are len + 1).
+  struct Bucket {
+    uint64_t key;
+    uint32_t entry;
+  };
+  static uint64_t KeyOf(const Prefix& prefix) {
+    return uint64_t{prefix.addr} << 6 | (prefix.len + 1u);
+  }
+  // Fibonacci hashing: the top log2(buckets) bits of key * 2^64/phi.
+  size_t Home(uint64_t key) const {
+    return static_cast<size_t>((key * 0x9e3779b97f4a7c15ULL) >>
+                               (64 - std::countr_zero(index_.size())));
+  }
+  // The bucket holding `key`, or the empty bucket that ends its probe run.
+  // The index must not be empty.
+  size_t Probe(uint64_t key) const;
+  void GrowIndex();
+  void EraseBucket(size_t i);
+
+  std::vector<RouteEntry> entries_;     // trie values index into this
+  std::vector<uint32_t> free_entries_;  // withdrawn slots of entries_
+  // Installed prefix -> slot in entries_: open addressing with linear
+  // probing, a power-of-two bucket count, load at most 1/2, and deletion
+  // by backward shift, so a probe run never holds a hole.
+  std::vector<Bucket> index_;
+  size_t count_ = 0;
   CpeTrie trie_;
   uint64_t epoch_ = 0;
 };

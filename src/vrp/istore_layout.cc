@@ -1,7 +1,5 @@
 #include "src/vrp/istore_layout.h"
 
-#include <algorithm>
-
 #include "src/sim/log.h"
 
 namespace npr {
@@ -20,8 +18,9 @@ std::optional<uint32_t> IStoreLayout::InstallPerFlow(const VrpProgram& program) 
   }
   used_ += slots;
   const uint32_t id = next_id_++;
-  entries_[id] = Entry{program, /*general=*/false, slots, install_seq_++, 0,
+  entries_[id] = Entry{program, /*general=*/false, slots, 0,
                        /*throttled=*/false, /*staged=*/{}, /*retained=*/{}};
+  chain_stale_ = true;
   return id;
 }
 
@@ -34,8 +33,9 @@ std::optional<uint32_t> IStoreLayout::InstallGeneral(const VrpProgram& program,
   }
   used_ += slots;
   const uint32_t id = next_id_++;
-  entries_[id] = Entry{program, /*general=*/true, slots, install_seq_++, state_addr,
+  entries_[id] = Entry{program, /*general=*/true, slots, state_addr,
                        /*throttled=*/false, /*staged=*/{}, /*retained=*/{}};
+  chain_stale_ = true;
   return id;
 }
 
@@ -53,6 +53,7 @@ bool IStoreLayout::Remove(uint32_t id) {
     used_ -= it->second.retained->slots;
   }
   entries_.erase(it);
+  chain_stale_ = true;
   return true;
 }
 
@@ -78,6 +79,7 @@ bool IStoreLayout::StageReplace(uint32_t id, const VrpProgram& next, uint32_t ne
   }
   used_ += slots;
   entry.staged = Image{next, slots, next_state_addr};
+  chain_stale_ = true;
   return true;
 }
 
@@ -88,6 +90,7 @@ bool IStoreLayout::CancelReplace(uint32_t id) {
   }
   used_ -= it->second.staged->slots;
   it->second.staged.reset();
+  chain_stale_ = true;
   return true;
 }
 
@@ -102,6 +105,7 @@ bool IStoreLayout::CommitReplace(uint32_t id) {
   entry.slots = entry.staged->slots;
   entry.state_addr = entry.staged->state_addr;
   entry.staged.reset();
+  chain_stale_ = true;
   return true;
 }
 
@@ -116,6 +120,7 @@ bool IStoreLayout::RevertReplace(uint32_t id) {
   entry.slots = entry.retained->slots;
   entry.state_addr = entry.retained->state_addr;
   entry.retained.reset();
+  chain_stale_ = true;
   return true;
 }
 
@@ -126,6 +131,7 @@ bool IStoreLayout::PromoteReplace(uint32_t id) {
   }
   used_ -= it->second.retained->slots;
   it->second.retained.reset();
+  chain_stale_ = true;
   return true;
 }
 
@@ -152,6 +158,7 @@ bool IStoreLayout::SetThrottled(uint32_t id, bool throttled) {
     return false;
   }
   it->second.throttled = throttled;
+  chain_stale_ = true;
   return true;
 }
 
@@ -160,25 +167,21 @@ bool IStoreLayout::IsThrottled(uint32_t id) const {
   return it != entries_.end() && it->second.throttled;
 }
 
-std::vector<IStoreLayout::GeneralEntry> IStoreLayout::GeneralChain() const {
-  // Stored in reverse order from the end of the store: the most recently
-  // installed general executes first; the first-installed (minimal IP)
-  // executes last.
-  std::vector<std::pair<uint64_t, GeneralEntry>> generals;
-  for (const auto& [id, entry] : entries_) {
-    if (entry.general && !entry.throttled) {
-      generals.emplace_back(entry.install_seq,
-                            GeneralEntry{&entry.program, entry.state_addr, id});
+const std::vector<IStoreLayout::GeneralEntry>& IStoreLayout::GeneralChain() const {
+  if (chain_stale_) {
+    // Stored in reverse order from the end of the store: the most recently
+    // installed general executes first; the first-installed (minimal IP)
+    // executes last.
+    chain_.clear();
+    for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
+      const Entry& entry = it->second;
+      if (entry.general && !entry.throttled) {
+        chain_.push_back(GeneralEntry{&entry.program, entry.state_addr, it->first});
+      }
     }
+    chain_stale_ = false;
   }
-  std::sort(generals.begin(), generals.end(),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
-  std::vector<GeneralEntry> chain;
-  chain.reserve(generals.size());
-  for (const auto& [seq, ge] : generals) {
-    chain.push_back(ge);
-  }
-  return chain;
+  return chain_;
 }
 
 uint64_t IStoreLayout::InstallCostCycles(const VrpProgram& program) const {

@@ -26,6 +26,10 @@ class IStoreLayout {
  public:
   explicit IStoreLayout(const HwConfig& hw);
 
+  // The kept chain points into entries_: a copy would point into this one.
+  IStoreLayout(const IStoreLayout&) = delete;
+  IStoreLayout& operator=(const IStoreLayout&) = delete;
+
   // Installs a per-flow forwarder (reached via classifier metadata).
   // Returns its handle, or nullopt if the extension region is full.
   std::optional<uint32_t> InstallPerFlow(const VrpProgram& program);
@@ -81,8 +85,14 @@ class IStoreLayout {
   // The staged program (nullptr unless StageReplace is pending commit).
   const VrpProgram* Staged(uint32_t id) const;
 
-  // General forwarders in execution (fall-through) order.
-  std::vector<GeneralEntry> GeneralChain() const;
+  // General forwarders in execution (fall-through) order. The chain is
+  // kept between calls: every mutator marks it stale and the next call
+  // rebuilds it, so the classify path reads it without allocating. A loop
+  // over the chain may call mutators (it keeps iterating the chain it
+  // started with) but must not call GeneralChain() again before it ends:
+  // that would rebuild the vector under it. HealthMonitor::OnVrpTrap
+  // defers its ISTORE changes for the same reason.
+  const std::vector<GeneralEntry>& GeneralChain() const;
 
   // Cycles the StrongARM needs to write this program into one ISTORE
   // (§4.5: two memory accesses per instruction, 40 cycles each).
@@ -105,7 +115,6 @@ class IStoreLayout {
     VrpProgram program;
     bool general;
     uint32_t slots;
-    uint64_t install_seq;
     uint32_t state_addr;
     bool throttled = false;
     // In-flight replacement: staged before commit, retained after.
@@ -119,9 +128,10 @@ class IStoreLayout {
   const uint32_t total_slots_;    // full store (1024)
   const uint32_t write_cycles_per_instr_;
   uint32_t used_ = 0;
-  uint32_t next_id_ = 1;
-  uint64_t install_seq_ = 0;
+  uint32_t next_id_ = 1;  // handles follow install order
   std::map<uint32_t, Entry> entries_;
+  mutable std::vector<GeneralEntry> chain_;
+  mutable bool chain_stale_ = true;
 };
 
 }  // namespace npr

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/net/checksum.h"
 #include "src/net/ethernet.h"
 #include "src/net/ipv4.h"
@@ -558,6 +560,66 @@ TEST(MacPort, PoolExhaustionBecomesGracefulRxLoss) {
   // Conservation: every offered frame landed somewhere.
   EXPECT_EQ(port.rx_offered(), port.rx_frames() + port.rx_dropped());
   EXPECT_EQ(port.pool().outstanding(), port.pooled_in_flight());
+}
+
+TEST(MpReassembler, OneMpFrameTakesTheSmallClass) {
+  // A frame that ends in its first MP asks only for that MP's bytes, so it
+  // reassembles into the 64-byte class even with the MTU class capped out;
+  // a longer frame still starts MTU-sized and falls back to the heap.
+  PacketPool pool;
+  pool.set_max_frames_per_class(1);
+  FrameBuf* held = pool.TryAcquire(PacketPool::kClassBytes[1]);
+  ASSERT_NE(held, nullptr);
+  MpReassembler reassembler(&pool);
+  for (size_t bytes : {size_t{64}, size_t{200}}) {
+    PacketSpec spec;
+    spec.frame_bytes = bytes;
+    Packet frame = BuildPacket(spec);
+    frame.set_id(static_cast<uint32_t>(bytes));
+    std::optional<Packet> out;
+    MpCursor cursor(frame, 0);
+    for (Mp mp; cursor.CopyNext(mp);) {
+      out = reassembler.Accept(mp);
+    }
+    ASSERT_TRUE(out);
+    EXPECT_EQ(out->pooled(), bytes == 64) << bytes << "-byte frame";
+    EXPECT_EQ(out->id(), bytes);
+    EXPECT_TRUE(std::ranges::equal(out->bytes(), frame.bytes())) << bytes << "-byte frame";
+  }
+  EXPECT_EQ(pool.outstanding(), 1u);
+  held->Unref();
+}
+
+TEST(MacPort, MixedFrameSizesReachTheSinkIntact) {
+  // Minimum, mid-size and MTU frames through one TX reassembler, each in
+  // its own size class, arrive byte-identical and in order; the pool
+  // ledger balances while frames are on the wire and after the drain.
+  EventQueue engine;
+  MacPort port(engine, 1, 1e9, 1 << 20);
+  std::vector<Packet> got;
+  port.SetSink([&](Packet&& p) { got.push_back(std::move(p)); });
+  std::vector<Packet> sent;
+  for (size_t bytes : {64, 200, 1518, 64, 64, 1518, 200, 64}) {
+    PacketSpec spec;
+    spec.frame_bytes = bytes;
+    spec.dst_port = static_cast<uint16_t>(1000 + sent.size());
+    Packet frame = BuildPacket(spec);
+    frame.set_id(static_cast<uint32_t>(sent.size() + 1));
+    MpCursor cursor(frame, 1);
+    for (Mp mp; cursor.CopyNext(mp);) {
+      port.TxAccept(mp);
+    }
+    sent.push_back(std::move(frame));
+  }
+  EXPECT_EQ(port.pool().outstanding(), port.pooled_in_flight());
+  engine.RunAll();
+  EXPECT_EQ(port.pool().outstanding(), port.pooled_in_flight());
+  EXPECT_EQ(port.pool().outstanding(), 0u);
+  ASSERT_EQ(got.size(), sent.size());
+  for (size_t i = 0; i < sent.size(); ++i) {
+    EXPECT_EQ(got[i].id(), sent[i].id());
+    EXPECT_TRUE(std::ranges::equal(got[i].bytes(), sent[i].bytes())) << "frame " << i;
+  }
 }
 
 TEST(MacPort, SinkFramesOutliveThePool) {

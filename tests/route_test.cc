@@ -210,6 +210,47 @@ TEST_P(CpeTrieProperty, WithdrawalsMatchNaiveReference) {
   }
 }
 
+// Host memory follows the slots a trie writes: a fresh trie holds no page,
+// a read of a page never written sees empty slots and takes none, a /16
+// takes one page in each node it spans (one root page where the root holds
+// it), and a prefix that flaps recycles the same pages.
+TEST_P(CpeTrieProperty, PagesFollowWrittenSlots) {
+  CpeTrie trie(GetParam());
+  EXPECT_EQ(trie.pages(), 0u);
+  const auto empty = trie.Lookup(0x0a010203);
+  EXPECT_FALSE(empty.value.has_value());
+  EXPECT_EQ(empty.nodes_visited, 1);
+
+  trie.Insert(*Prefix::Parse("10.1.0.0/16"), 7);
+  EXPECT_EQ(trie.pages(), trie.node_count());
+  if (GetParam()[0] >= 16) {
+    EXPECT_EQ(trie.pages(), 1u) << "the root holds the /16 in one page";
+  }
+  EXPECT_EQ(trie.Lookup(0x0a01ffff).value, 7u);
+  // 138.1.0.0 lies in a root page never written (in the one root page
+  // for a stride-8 root): the walk stops at the root.
+  const auto miss = trie.Lookup(0x8a010000);
+  EXPECT_FALSE(miss.value.has_value());
+  EXPECT_EQ(miss.nodes_visited, 1);
+  EXPECT_EQ(trie.pages(), trie.node_count()) << "a read takes no page";
+
+  const Prefix flap = *Prefix::Parse("10.1.2.4/30");
+  trie.Insert(flap, 8);
+  const size_t pages = trie.pages();
+  const size_t bytes = trie.host_bytes();
+  for (int cycle = 0; cycle < 1000; ++cycle) {
+    trie.Remove(flap, CpeTrie::Covering{7, 16});
+    trie.Insert(flap, 8);
+    ASSERT_EQ(trie.pages(), pages);
+    ASSERT_EQ(trie.host_bytes(), bytes);
+  }
+  // Recycled pages come back empty: around the /30 the /16 still answers.
+  EXPECT_EQ(trie.Lookup(0x0a010001).value, 7u);
+  EXPECT_EQ(trie.Lookup(0x0a010205).value, 8u);
+  EXPECT_EQ(trie.Lookup(0x0a010209).value, 7u);
+  EXPECT_EQ(trie.Lookup(0x0a0102ff).value, 7u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Strides, CpeTrieProperty,
                          ::testing::Values(std::vector<int>{16, 8, 8},
                                            std::vector<int>{8, 8, 8, 8},
@@ -356,6 +397,60 @@ TEST(RouteTable, WithdrawInPlaceMatchesFreshBuild) {
   }
   routes[flap] = RouteEntry{1, PortMac(1)};
   ExpectEqualsFreshBuild(table, routes, candidates, rng);
+}
+
+// The flat prefix index against a std::map reference over a long seeded
+// add/replace/withdraw sequence. Every length of a few addresses, two of
+// them in one /24, gives nested prefixes whose keys share probe runs, so
+// withdrawals inside a run exercise the backward shift.
+TEST(RouteTable, IndexMatchesMapReference) {
+  Rng rng(0x1de7);
+  const uint32_t addrs[] = {0x0a010203, 0x0a0102f3, 0xc0a80a01, 0xac100001, 0x08080808};
+  std::vector<Prefix> candidates;
+  for (uint32_t addr : addrs) {
+    for (int len = 0; len <= 32; ++len) {
+      candidates.push_back(Prefix::Make(addr, static_cast<uint8_t>(len)));
+    }
+  }
+  RouteTable table;
+  std::map<Prefix, RouteEntry> reference;
+  for (int step = 0; step < 20000; ++step) {
+    const Prefix p = candidates[rng.Uniform(candidates.size())];
+    if (rng.Chance(0.45)) {
+      const bool present = reference.erase(p) != 0;
+      ASSERT_EQ(table.RemoveRoute(p), present) << p.ToString() << " at step " << step;
+    } else {
+      const auto port = static_cast<uint8_t>(rng.Uniform(8));
+      table.AddRoute(p, RouteEntry{port, PortMac(port)});
+      reference[p] = RouteEntry{port, PortMac(port)};
+    }
+    ASSERT_EQ(table.size(), reference.size()) << "step " << step;
+    const auto dump = table.Dump();
+    ASSERT_EQ(dump.size(), reference.size()) << "step " << step;
+    auto want = reference.begin();
+    for (const auto& [prefix, entry] : dump) {
+      ASSERT_EQ(prefix, want->first) << "step " << step;
+      ASSERT_EQ(entry.out_port, want->second.out_port) << prefix.ToString();
+      ASSERT_EQ(entry.next_hop_mac, want->second.next_hop_mac) << prefix.ToString();
+      ++want;
+    }
+    const uint32_t inside = p.addr | (static_cast<uint32_t>(rng.Next()) & ~p.Mask());
+    for (uint32_t ip : {inside, static_cast<uint32_t>(rng.Next())}) {
+      std::optional<RouteEntry> expect;
+      int best = -1;
+      for (const auto& [prefix, entry] : reference) {
+        if (prefix.Contains(ip) && prefix.len > best) {
+          best = prefix.len;
+          expect = entry;
+        }
+      }
+      const auto got = table.Lookup(ip);
+      ASSERT_EQ(got.entry.has_value(), expect.has_value()) << Ipv4ToString(ip);
+      if (expect) {
+        ASSERT_EQ(got.entry->out_port, expect->out_port) << Ipv4ToString(ip);
+      }
+    }
+  }
 }
 
 // --- RouteCache ---

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "src/ixp/hash_unit.h"
 #include "src/mem/backing_store.h"
 #include "src/vrp/assembler.h"
@@ -396,6 +398,101 @@ TEST(IStoreLayout, GeneralChainIsReverseInstallOrder) {
   EXPECT_EQ(chain[0].program->name, "counter");
   EXPECT_EQ(chain[0].state_addr, 200u);
   EXPECT_EQ(chain[1].program->name, "ip");
+}
+
+// The kept chain equals a chain computed afresh after every mutator: ids in
+// reverse install order, program pointers, and the state address of the
+// active image (CommitReplace and RevertReplace change it).
+TEST(IStoreLayout, KeptChainFollowsEveryMutator) {
+  IStoreLayout layout(HwConfig::Default());
+  struct Model {
+    bool general;
+    bool throttled;
+    uint32_t state_addr;
+  };
+  std::map<uint32_t, Model> model;
+  std::vector<uint32_t> install_order;
+  auto expect_fresh = [&](const std::string& step) {
+    std::vector<IStoreLayout::GeneralEntry> want;
+    for (auto id = install_order.rbegin(); id != install_order.rend(); ++id) {
+      const auto m = model.find(*id);
+      if (m != model.end() && m->second.general && !m->second.throttled) {
+        want.push_back({layout.Get(*id), m->second.state_addr, *id});
+      }
+    }
+    const auto& got = layout.GeneralChain();
+    ASSERT_EQ(got.size(), want.size()) << step;
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].id, want[i].id) << step << ", position " << i;
+      EXPECT_EQ(got[i].program, want[i].program) << step << ", position " << i;
+      EXPECT_EQ(got[i].state_addr, want[i].state_addr) << step << ", position " << i;
+    }
+  };
+  VrpProgram prog;
+  prog.code.resize(5);
+  auto install = [&](bool general, uint32_t state_addr) {
+    auto id = general ? layout.InstallGeneral(prog, state_addr) : layout.InstallPerFlow(prog);
+    EXPECT_TRUE(id);
+    model[*id] = Model{general, false, general ? state_addr : 0};
+    install_order.push_back(*id);
+    return *id;
+  };
+
+  const uint32_t ip = install(true, 100);
+  expect_fresh("install ip");
+  const uint32_t flow = install(false, 0);
+  expect_fresh("install per-flow");
+  const uint32_t counter = install(true, 200);
+  expect_fresh("install counter");
+  const uint32_t meter = install(true, 300);
+  expect_fresh("install meter");
+
+  ASSERT_TRUE(layout.SetThrottled(counter, true));
+  model[counter].throttled = true;
+  expect_fresh("throttle counter");
+  ASSERT_TRUE(layout.SetThrottled(counter, false));
+  model[counter].throttled = false;
+  expect_fresh("lift counter");
+
+  ASSERT_TRUE(layout.StageReplace(counter, prog, 210));
+  expect_fresh("stage counter");
+  ASSERT_TRUE(layout.CancelReplace(counter));
+  expect_fresh("cancel counter");
+  ASSERT_TRUE(layout.StageReplace(counter, prog, 220));
+  expect_fresh("stage counter again");
+  ASSERT_TRUE(layout.CommitReplace(counter));
+  model[counter].state_addr = 220;
+  expect_fresh("commit counter");
+  ASSERT_TRUE(layout.RevertReplace(counter));
+  model[counter].state_addr = 200;
+  expect_fresh("revert counter");
+  ASSERT_TRUE(layout.StageReplace(meter, prog, 330));
+  ASSERT_TRUE(layout.CommitReplace(meter));
+  model[meter].state_addr = 330;
+  expect_fresh("commit meter");
+  ASSERT_TRUE(layout.PromoteReplace(meter));
+  expect_fresh("promote meter");
+
+  ASSERT_TRUE(layout.Remove(ip));
+  model.erase(ip);
+  expect_fresh("remove ip");
+  ASSERT_TRUE(layout.Remove(flow));
+  model.erase(flow);
+  expect_fresh("remove per-flow");
+  install(true, 400);
+  expect_fresh("install after removes");
+
+  // A loop over the chain may throttle what it visits (as the overload
+  // governor does): it keeps iterating the chain it started with.
+  std::vector<uint32_t> visited;
+  for (const auto& entry : layout.GeneralChain()) {
+    visited.push_back(entry.id);
+    ASSERT_TRUE(layout.SetThrottled(entry.id, true));
+    model[entry.id].throttled = true;
+  }
+  EXPECT_EQ(visited.size(), 3u);
+  expect_fresh("throttle all");
+  EXPECT_TRUE(layout.GeneralChain().empty());
 }
 
 TEST(IStoreLayout, RejectsWhenFull) {
