@@ -62,14 +62,19 @@ std::vector<const FlowMeta*> FlowTable::All() const {
   return out;
 }
 
-std::vector<const FlowMeta*> FlowTable::Generals(Where where) const {
-  std::vector<const FlowMeta*> out;
+bool FlowTable::ForwardersAt(Where where, const FlowMeta* flow,
+                             std::vector<const FlowMeta*>* out) const {
+  out->clear();
+  if (flow != nullptr && flow->where == where) {
+    out->push_back(flow);
+    return true;
+  }
   for (const auto& [fid, meta] : by_fid_) {
     if (meta.key.all && meta.where == where) {
-      out.push_back(&meta);
+      out->push_back(&meta);
     }
   }
-  return out;
+  return false;
 }
 
 }  // namespace npr

@@ -69,9 +69,13 @@ class FlowTable {
   FlowMeta* GetMutable(uint32_t fid);
   // Exact 4-tuple match (per-flow forwarders). Nullptr if none.
   const FlowMeta* LookupTuple(const FlowKey& key) const;
-  // ALL-keyed forwarders that run on `where` (general SA/PE forwarders; ME
-  // generals live in the ISTORE chain instead).
-  std::vector<const FlowMeta*> Generals(Where where) const;
+  // The StrongARM or Pentium forwarders a packet of `flow` (null: none)
+  // runs at `where`: the flow's own if it is bound to `where`, else the
+  // ALL-keyed forwarders of `where`, in fid order (ME generals live in the
+  // ISTORE chain instead). Clears and fills `out`, so a caller that keeps
+  // the vector stops allocating per packet. True when it chose the flow's
+  // own forwarder.
+  bool ForwardersAt(Where where, const FlowMeta* flow, std::vector<const FlowMeta*>* out) const;
   // Every installed flow, in fid order (the memory-bounds ledger walks the
   // state reservations).
   std::vector<const FlowMeta*> All() const;

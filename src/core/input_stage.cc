@@ -107,7 +107,7 @@ Mp InputStage::SynthesizeMp(int ctx_index) {
   uint8_t dst_port;
   (void)ctx_index;
   if (cfg.synthetic_single_dst) {
-    dst_port = cfg.synthetic_dst_port;
+    dst_port = 1;  // Table 1 row I.3: everything to one port's queue
   } else {
     // Claims are serialized by the token, so a global round-robin spreads
     // destinations perfectly across the output ports.
@@ -145,23 +145,18 @@ bool InputStage::ClaimNext(uint8_t port, int ctx_index, Claim* claim) {
     meta.packet_id = claim->mp.tag.packet_id;
     meta.arrival_port = port;
     meta.ingress_time = core_.engine->now();
-    if (core_.stack_pool != nullptr) {
-      // §3.2.3 alternative: explicit lifetime, allocation can fail.
-      auto addr = core_.stack_pool->Allocate(meta);
-      if (!addr) {
-        core_.stats->dropped_no_buffer += 1;
-        NPR_OBS_HOOK(core_.obs,
-                     Record(SpanPoint::kDropNoBuffer, meta.packet_id,
-                            ObsUnitOf(*members_[static_cast<size_t>(ctx_index)]), port));
-        as.in_packet = false;
-        return false;
-      }
-      as.buffer_addr = *addr;
-      as.generation = 0;
-    } else {
-      as.buffer_addr = core_.buffers->Allocate(meta);
-      as.generation = core_.buffers->MetaFor(as.buffer_addr).generation;
+    const std::optional<BufferGrant> grant = AllocateBuffer(core_, meta);
+    if (!grant) {
+      // §3.2.3 alternative: the stack pool's allocation can fail.
+      core_.stats->dropped_no_buffer += 1;
+      NPR_OBS_HOOK(core_.obs,
+                   Record(SpanPoint::kDropNoBuffer, meta.packet_id,
+                          ObsUnitOf(*members_[static_cast<size_t>(ctx_index)]), port));
+      as.in_packet = false;
+      return false;
     }
+    as.buffer_addr = grant->addr;
+    as.generation = grant->generation;
     as.next_mp = 0;
     as.in_packet = true;
     NPR_OBS_HOOK(core_.obs,
@@ -210,10 +205,7 @@ InputStage::Disposition InputStage::ClassifyFirstMp(std::span<uint8_t> mp_bytes,
     disp.act = Disposition::Act::kStrongArm;  // TTL hit zero: ICMP is control work
     return disp;
   }
-  EthernetHeader eth = *EthernetHeader::Parse(mp_bytes);
-  eth.src = PortMac(outcome.out_port);
-  eth.dst = outcome.route.next_hop_mac;
-  eth.Write(mp_bytes);
+  RewriteEgressMacs(mp_bytes, outcome.out_port, outcome.route.next_hop_mac);
 
   disp.act = Disposition::Act::kQueue;
   disp.out_port = outcome.out_port;
@@ -224,83 +216,15 @@ InputStage::Disposition InputStage::ClassifyFirstMp(std::span<uint8_t> mp_bytes,
   if (outcome.flow != nullptr && outcome.flow->where == Where::kMicroEngine &&
       !core_.istore->IsThrottled(outcome.flow->me_program_id)) {
     const VrpProgram* program = core_.istore->Get(outcome.flow->me_program_id);
-    if (program != nullptr) {
-      // Upgrade shadow hooks: snapshot the pristine MP, then hand the
-      // post-run view and verdict to the orchestrator's comparator.
-      // Functional only — no cycles, no Rng.
-      if (core_.upgrade != nullptr) {
-        core_.upgrade->BeginPacket(outcome.flow->me_program_id, mp_bytes);
-      }
-      auto run = core_.vrp->Run(*program, mp_bytes, outcome.flow->state_addr, &cfg.budget);
-      if (core_.fault != nullptr && run.action != VrpAction::kTrap &&
-          core_.fault->ShouldTrapVrp()) {
-        run.action = VrpAction::kTrap;
-      }
-      if (core_.upgrade != nullptr) {
-        core_.upgrade->EndPacket(outcome.flow->me_program_id, mp_bytes, run);
-      }
-      vrp_cost->cycles += run.metered.cycles;
-      vrp_cost->sram_reads += run.metered.sram_reads;
-      vrp_cost->sram_writes += run.metered.sram_writes;
-      vrp_cost->hashes += run.metered.hashes;
-      if (run.queue) {
-        disp.priority = std::min<uint32_t>(
-            *run.queue, static_cast<uint32_t>(cfg.queues_per_port - 1));
-      }
-      if (run.action == VrpAction::kDrop) {
-        core_.stats->dropped_by_vrp += 1;
-        NPR_OBS_HOOK(core_.obs, Record(SpanPoint::kDropVrp, packet_id, obs_unit, arrival_port));
-        disp.act = Disposition::Act::kDrop;
-        return disp;
-      }
-      if (run.action == VrpAction::kExcept) {
-        disp.act = Disposition::Act::kStrongArm;
-        return disp;
-      }
-      if (run.action == VrpAction::kTrap) {
-        core_.stats->vrp_traps += 1;
-        NPR_OBS_HOOK(core_.obs, Record(SpanPoint::kFault, packet_id, obs_unit,
-                                       static_cast<uint16_t>(FaultKind::kVrpTrap)));
-        NPR_OBS_HOOK(core_.obs, TriggerDump("vrp_trap", packet_id));
-        if (core_.health != nullptr) {
-          core_.health->OnVrpTrap(outcome.flow->me_program_id);
-        }
-        disp.act = Disposition::Act::kStrongArm;
-        return disp;
-      }
+    if (program != nullptr &&
+        !RunForwarder(*program, outcome.flow->me_program_id, outcome.flow->state_addr, mp_bytes,
+                      vrp_cost, &disp, packet_id, obs_unit, arrival_port)) {
+      return disp;
     }
   }
   for (const auto& general : core_.istore->GeneralChain()) {
-    if (core_.upgrade != nullptr) {
-      core_.upgrade->BeginPacket(general.id, mp_bytes);
-    }
-    auto run = core_.vrp->Run(*general.program, mp_bytes, general.state_addr, &cfg.budget);
-    if (core_.fault != nullptr && run.action != VrpAction::kTrap &&
-        core_.fault->ShouldTrapVrp()) {
-      run.action = VrpAction::kTrap;
-    }
-    if (core_.upgrade != nullptr) {
-      core_.upgrade->EndPacket(general.id, mp_bytes, run);
-    }
-    vrp_cost->cycles += run.metered.cycles;
-    vrp_cost->sram_reads += run.metered.sram_reads;
-    vrp_cost->sram_writes += run.metered.sram_writes;
-    vrp_cost->hashes += run.metered.hashes;
-    if (run.action == VrpAction::kDrop) {
-      core_.stats->dropped_by_vrp += 1;
-      NPR_OBS_HOOK(core_.obs, Record(SpanPoint::kDropVrp, packet_id, obs_unit, arrival_port));
-      disp.act = Disposition::Act::kDrop;
-      return disp;
-    }
-    if (run.action == VrpAction::kTrap) {
-      core_.stats->vrp_traps += 1;
-      NPR_OBS_HOOK(core_.obs, Record(SpanPoint::kFault, packet_id, obs_unit,
-                                     static_cast<uint16_t>(FaultKind::kVrpTrap)));
-      NPR_OBS_HOOK(core_.obs, TriggerDump("vrp_trap", packet_id));
-      if (core_.health != nullptr) {
-        core_.health->OnVrpTrap(general.id);
-      }
-      disp.act = Disposition::Act::kStrongArm;
+    if (!RunForwarder(*general.program, general.id, general.state_addr, mp_bytes, vrp_cost,
+                      &disp, packet_id, obs_unit, arrival_port)) {
       return disp;
     }
   }
@@ -312,8 +236,58 @@ InputStage::Disposition InputStage::ClassifyFirstMp(std::span<uint8_t> mp_bytes,
              rng_.Chance(cfg.synthetic_exceptional_fraction)) {
     disp.act = Disposition::Act::kStrongArm;
   }
-  (void)arrival_port;
   return disp;
+}
+
+bool InputStage::RunForwarder(const VrpProgram& program, uint32_t program_id,
+                              uint32_t state_addr, std::span<uint8_t> mp_bytes,
+                              VrpCost* vrp_cost, Disposition* disp, uint32_t packet_id,
+                              uint8_t obs_unit, uint8_t arrival_port) {
+  const RouterConfig& cfg = *core_.config;
+  // Upgrade shadow hooks: snapshot the pristine MP, then hand the post-run
+  // view and verdict to the orchestrator's comparator. Functional only — no
+  // cycles, no Rng.
+  if (core_.upgrade != nullptr) {
+    core_.upgrade->BeginPacket(program_id, mp_bytes);
+  }
+  auto run = core_.vrp->Run(program, mp_bytes, state_addr, &cfg.budget);
+  if (core_.fault != nullptr && run.action != VrpAction::kTrap && core_.fault->ShouldTrapVrp()) {
+    run.action = VrpAction::kTrap;
+  }
+  if (core_.upgrade != nullptr) {
+    core_.upgrade->EndPacket(program_id, mp_bytes, run);
+  }
+  vrp_cost->cycles += run.metered.cycles;
+  vrp_cost->sram_reads += run.metered.sram_reads;
+  vrp_cost->sram_writes += run.metered.sram_writes;
+  vrp_cost->hashes += run.metered.hashes;
+  if (run.queue) {
+    disp->priority =
+        std::min<uint32_t>(*run.queue, static_cast<uint32_t>(cfg.queues_per_port - 1));
+  }
+  switch (run.action) {
+    case VrpAction::kSend:
+      return true;
+    case VrpAction::kDrop:
+      core_.stats->dropped_by_vrp += 1;
+      NPR_OBS_HOOK(core_.obs, Record(SpanPoint::kDropVrp, packet_id, obs_unit, arrival_port));
+      disp->act = Disposition::Act::kDrop;
+      return false;
+    case VrpAction::kTrap:
+      core_.stats->vrp_traps += 1;
+      NPR_OBS_HOOK(core_.obs, Record(SpanPoint::kFault, packet_id, obs_unit,
+                                     static_cast<uint16_t>(FaultKind::kVrpTrap)));
+      NPR_OBS_HOOK(core_.obs, TriggerDump("vrp_trap", packet_id));
+      if (core_.health != nullptr) {
+        core_.health->OnVrpTrap(program_id);
+      }
+      disp->act = Disposition::Act::kStrongArm;
+      return false;
+    case VrpAction::kExcept:
+      disp->act = Disposition::Act::kStrongArm;
+      return false;
+  }
+  return true;
 }
 
 Task InputStage::ContextLoop(HwContext& ctx, int member, int ctx_index, uint8_t port) {

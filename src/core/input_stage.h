@@ -93,6 +93,15 @@ class InputStage {
   Disposition ClassifyFirstMp(std::span<uint8_t> mp_bytes, uint8_t arrival_port,
                               VrpCost* vrp_cost, uint32_t packet_id, uint8_t obs_unit);
 
+  // Runs one MicroEngine forwarder, per-flow or general, on the first MP:
+  // the upgrade shadow hooks around it, an injected trap, its metered cost
+  // (added to `vrp_cost`), and its verdict. setq sets `disp`'s priority
+  // (clamped to the configured queues); drop, except and trap set `disp`'s
+  // act and end the packet's chain, which the false return reports.
+  bool RunForwarder(const VrpProgram& program, uint32_t program_id, uint32_t state_addr,
+                    std::span<uint8_t> mp_bytes, VrpCost* vrp_cost, Disposition* disp,
+                    uint32_t packet_id, uint8_t obs_unit, uint8_t arrival_port);
+
   Mp SynthesizeMp(int ctx_index);
 
   RouterCore& core_;
@@ -101,7 +110,6 @@ class InputStage {
   std::vector<HwContext*> members_;  // ring order
   std::vector<int> member_index_;    // ring member id per context (restart)
   std::vector<uint8_t> port_of_;     // port served per context (restart)
-  std::vector<Task> holder_;         // not used: tasks installed into contexts
   std::vector<PortAssembly> assembly_;
   Rng rng_;
   uint64_t synthetic_seq_ = 0;

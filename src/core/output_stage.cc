@@ -237,8 +237,7 @@ Task OutputStage::ContextLoop(HwContext& ctx, int member, int out_ctx_index) {
       // Buffer-lap check (§3.2.3): if the circular allocator already reused
       // this buffer, the packet is gone. (The stack pool has no such
       // hazard — lifetimes are explicit.)
-      if (core_.stack_pool == nullptr &&
-          !core_.buffers->StillValid(desc->buffer_addr, desc->generation)) {
+      if (!BufferStillValid(core_, *desc)) {
         core_.stats->lost_overwritten += 1;
         core_.stats->output_lost_iters += 1;
         // The span carries the *successor* packet's id: the lapped packet's

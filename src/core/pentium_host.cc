@@ -26,6 +26,8 @@ Task PentiumHost::PeLoop() {
   SoftCore& pe = core_.host->pentium();
   const HwConfig& hw = core_.config->hw;
   MemorySystem& mem = core_.chip->memory();
+  // The forwarders the current packet runs, kept across packets.
+  std::vector<const FlowMeta*> to_run;
 
   for (;;) {
     bool did_work = false;
@@ -78,15 +80,17 @@ Task PentiumHost::PeLoop() {
       bool have_bytes = false;
       bool forward = true;
       uint8_t out_port = hp->desc.out_port;
-
-      std::vector<const FlowMeta*> to_run;
-      if (flow != nullptr && flow->where == Where::kPentium) {
-        to_run.push_back(flow);
-      } else {
-        to_run = core_.flow_table->Generals(Where::kPentium);
-        if (!to_run.empty()) {
-          ++control_processed_;
+      // The frame leaves DRAM once, when a forwarder or the route lookup
+      // first reads it.
+      const auto load_bytes = [&] {
+        if (!have_bytes) {
+          packet = MaterializePacket(core_, /*pool=*/nullptr, hp->desc);
+          have_bytes = true;
         }
+      };
+
+      if (!core_.flow_table->ForwardersAt(Where::kPentium, flow, &to_run) && !to_run.empty()) {
+        ++control_processed_;
       }
 
       for (const FlowMeta* f : to_run) {
@@ -97,12 +101,7 @@ Task PentiumHost::PeLoop() {
         if (fw == nullptr) {
           continue;
         }
-        if (!have_bytes) {
-          std::vector<uint8_t> bytes(hp->desc.frame_bytes);
-          mem.dram_store().Read(hp->desc.buffer_addr, bytes);
-          packet = Packet(std::move(bytes));
-          have_bytes = true;
-        }
+        load_bytes();
         // Lazy body fetch (§3.7): pull the rest of the frame across PCI
         // only when the forwarder declares it reads the body.
         if (fw->needs_packet_body() && hp->bytes_moved < hp->desc.frame_bytes) {
@@ -115,17 +114,9 @@ Task PentiumHost::PeLoop() {
             hp->bytes_moved += rest;
           }
         }
-        NativeContext nc;
-        nc.packet = &packet;
-        nc.sram = &mem.sram_store();
-        nc.state_addr = f->state_addr;
-        nc.state_bytes = f->state_bytes;
-        nc.routes = core_.route_table;
-        nc.now = core_.engine->now();
-        nc.out_port = out_port;
-        const NativeAction action = fw->Process(nc);
-        co_await pe.Compute(fw->cycles_per_packet() + nc.extra_cycles);
-        out_port = nc.out_port;
+        uint32_t cycles = 0;
+        const NativeAction action = RunNative(core_, *fw, f, packet, &out_port, &cycles);
+        co_await pe.Compute(cycles);
         if (action == NativeAction::kDrop) {
           forward = false;
           ++dropped_;
@@ -137,12 +128,7 @@ Task PentiumHost::PeLoop() {
       // Per-flow data packets resolve their route here (classification on
       // the IXP said only "Pentium flow"; §4.5 passes the metadata along).
       if (forward && flow != nullptr) {
-        if (!have_bytes) {
-          std::vector<uint8_t> bytes(hp->desc.frame_bytes);
-          mem.dram_store().Read(hp->desc.buffer_addr, bytes);
-          packet = Packet(std::move(bytes));
-          have_bytes = true;
-        }
+        load_bytes();
         auto ip = Ipv4Header::Parse(packet.l3());
         if (!ip) {
           forward = false;
@@ -153,10 +139,7 @@ Task PentiumHost::PeLoop() {
             forward = false;
           } else {
             out_port = lookup.entry->out_port;
-            EthernetHeader eth = *EthernetHeader::Parse(packet.bytes());
-            eth.src = PortMac(out_port);
-            eth.dst = lookup.entry->next_hop_mac;
-            eth.Write(packet.bytes());
+            RewriteEgressMacs(packet.bytes(), out_port, lookup.entry->next_hop_mac);
           }
         }
       }

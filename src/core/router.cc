@@ -191,107 +191,78 @@ InstallOutcome Router::Install(const InstallRequest& request) {
   meta.key = request.key;
   meta.where = request.where;
 
+  const bool general = request.key.all;
   uint32_t state_bytes = request.state_bytes;
-  switch (request.where) {
-    case Where::kMicroEngine: {
-      if (request.program == nullptr) {
-        outcome.reject = InstallReject::kBadRequest;
-        outcome.error = "ME install requires a VRP program";
-        return outcome;
-      }
-      if (request.image_checksum != 0 &&
-          VrpImageChecksum(*request.program) != request.image_checksum) {
-        // The image was damaged between the sender and here (e.g. in
-        // transit on the control channel): refuse before any resource is
-        // touched, instead of discovering it at the first runtime trap.
-        outcome.reject = InstallReject::kChecksumMismatch;
-        outcome.error = "image checksum mismatch";
-        stats_.upgrade_checksum_rejects += 1;
-        return outcome;
-      }
-      if (state_bytes == 0) {
-        state_bytes = request.program->flow_state_bytes;
-      }
-      const bool general = request.key.all;
-      AdmissionResult admit = admission_.CheckMicroEngine(*request.program, general);
-      if (!admit.admitted) {
-        outcome.reject = InstallReject::kAdmission;
-        outcome.error = admit.reason;
-        return outcome;
-      }
-      // Allocate and zero the flow state (§4.5).
-      meta.state_bytes = state_bytes;
-      meta.state_addr = state_bytes > 0 ? sram_arena_.Alloc(state_bytes) : 0;
-      if (state_bytes > 0) {
-        chip_.memory().sram_store().Zero(meta.state_addr, state_bytes);
-      }
-      auto handle = general ? istore_.InstallGeneral(*request.program, meta.state_addr)
-                            : istore_.InstallPerFlow(*request.program);
-      if (!handle) {
-        if (state_bytes > 0) {
-          sram_arena_.Free(meta.state_addr, state_bytes);
-        }
-        outcome.reject = InstallReject::kIstoreFull;
-        outcome.error = "ISTORE allocation failed";
-        return outcome;
-      }
-      admission_.CommitMicroEngine(*handle, admit.worst_case, general);
-      meta.me_program_id = *handle;
-      break;
+  AdmissionResult admit;
+  NativeForwarder* fw = nullptr;
+  if (request.where == Where::kMicroEngine) {
+    if (request.program == nullptr) {
+      outcome.reject = InstallReject::kBadRequest;
+      outcome.error = "ME install requires a VRP program";
+      return outcome;
     }
-    case Where::kStrongArm: {
-      NativeForwarder* fw = sa_forwarders_.Get(request.native_index);
-      if (fw == nullptr) {
-        outcome.reject = InstallReject::kBadRequest;
-        outcome.error = "unknown StrongARM jump-table index";
-        return outcome;
-      }
-      AdmissionResult admit = admission_.CheckStrongArm(*fw, request.expected_pps);
-      if (!admit.admitted) {
-        outcome.reject = InstallReject::kAdmission;
-        outcome.error = admit.reason;
-        return outcome;
-      }
-      if (state_bytes == 0) {
-        state_bytes = fw->state_bytes();
-      }
-      meta.state_bytes = state_bytes;
-      meta.state_addr = state_bytes > 0 ? sram_arena_.Alloc(state_bytes) : 0;
-      if (state_bytes > 0) {
-        chip_.memory().sram_store().Zero(meta.state_addr, state_bytes);
-      }
-      meta.native_index = request.native_index;
-      break;
+    if (request.image_checksum != 0 &&
+        VrpImageChecksum(*request.program) != request.image_checksum) {
+      // The image was damaged between the sender and here (e.g. in transit
+      // on the control channel): refuse before any resource is touched,
+      // instead of discovering it at the first runtime trap.
+      outcome.reject = InstallReject::kChecksumMismatch;
+      outcome.error = "image checksum mismatch";
+      stats_.upgrade_checksum_rejects += 1;
+      return outcome;
     }
-    case Where::kPentium: {
-      NativeForwarder* fw = pe_forwarders_.Get(request.native_index);
-      if (fw == nullptr) {
-        outcome.reject = InstallReject::kBadRequest;
-        outcome.error = "unknown Pentium jump-table index";
-        return outcome;
-      }
-      const double cpp = request.expected_cpp > 0
-                             ? request.expected_cpp
-                             : static_cast<double>(fw->cycles_per_packet());
-      AdmissionResult admit = admission_.CheckPentium(request.expected_pps, cpp);
-      if (!admit.admitted) {
-        outcome.reject = InstallReject::kAdmission;
-        outcome.error = admit.reason;
-        return outcome;
-      }
-      if (state_bytes == 0) {
-        state_bytes = fw->state_bytes();
-      }
-      meta.state_bytes = state_bytes;
-      meta.state_addr = state_bytes > 0 ? sram_arena_.Alloc(state_bytes) : 0;
-      if (state_bytes > 0) {
-        chip_.memory().sram_store().Zero(meta.state_addr, state_bytes);
-      }
-      meta.native_index = request.native_index;
+    if (state_bytes == 0) {
+      state_bytes = request.program->flow_state_bytes;
+    }
+    admit = admission_.CheckMicroEngine(*request.program, general);
+  } else {
+    // StrongARM and Pentium: bind one entry of that processor's jump table.
+    const bool sa = request.where == Where::kStrongArm;
+    fw = (sa ? sa_forwarders_ : pe_forwarders_).Get(request.native_index);
+    if (fw == nullptr) {
+      outcome.reject = InstallReject::kBadRequest;
+      outcome.error =
+          sa ? "unknown StrongARM jump-table index" : "unknown Pentium jump-table index";
+      return outcome;
+    }
+    if (sa) {
+      admit = admission_.CheckStrongArm(*fw, request.expected_pps);
+    } else {
       meta.reserved_pps = request.expected_pps;
-      meta.reserved_cpp = cpp;
-      break;
+      meta.reserved_cpp = request.expected_cpp > 0 ? request.expected_cpp
+                                                   : static_cast<double>(fw->cycles_per_packet());
+      admit = admission_.CheckPentium(meta.reserved_pps, meta.reserved_cpp);
     }
+    if (state_bytes == 0) {
+      state_bytes = fw->state_bytes();
+    }
+    meta.native_index = request.native_index;
+  }
+  if (!admit.admitted) {
+    outcome.reject = InstallReject::kAdmission;
+    outcome.error = admit.reason;
+    return outcome;
+  }
+
+  // Allocate and zero the flow state (§4.5).
+  meta.state_bytes = state_bytes;
+  meta.state_addr = state_bytes > 0 ? sram_arena_.Alloc(state_bytes) : 0;
+  if (state_bytes > 0) {
+    chip_.memory().sram_store().Zero(meta.state_addr, state_bytes);
+  }
+  if (request.where == Where::kMicroEngine) {
+    auto handle = general ? istore_.InstallGeneral(*request.program, meta.state_addr)
+                          : istore_.InstallPerFlow(*request.program);
+    if (!handle) {
+      if (state_bytes > 0) {
+        sram_arena_.Free(meta.state_addr, state_bytes);
+      }
+      outcome.reject = InstallReject::kIstoreFull;
+      outcome.error = "ISTORE allocation failed";
+      return outcome;
+    }
+    admission_.CommitMicroEngine(*handle, admit.worst_case, general);
+    meta.me_program_id = *handle;
   }
 
   const uint32_t fid = flow_table_.Insert(meta);
@@ -300,18 +271,14 @@ InstallOutcome Router::Install(const InstallRequest& request) {
       break;  // committed above under the istore handle
     case Where::kStrongArm:
       admission_.CommitStrongArm(
-          fid, request.expected_pps *
-                   static_cast<double>(sa_forwarders_.Get(request.native_index)
-                                           ->cycles_per_packet()));
+          fid, request.expected_pps * static_cast<double>(fw->cycles_per_packet()));
       break;
-    case Where::kPentium: {
-      const FlowMeta* installed = flow_table_.Get(fid);
-      admission_.CommitPentium(fid, installed->reserved_pps, installed->reserved_cpp);
+    case Where::kPentium:
+      admission_.CommitPentium(fid, meta.reserved_pps, meta.reserved_cpp);
       // Tickets proportional to the reserved cycle rate.
       pentium_->scheduler().ConfigureFlow(
-          fid, std::max(1.0, installed->reserved_pps * installed->reserved_cpp / 1e4));
+          fid, std::max(1.0, meta.reserved_pps * meta.reserved_cpp / 1e4));
       break;
-    }
   }
 
   outcome.ok = true;

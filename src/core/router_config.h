@@ -76,10 +76,9 @@ struct RouterConfig {
   HwConfig hw = HwConfig::Default();
   StageCosts costs;
 
-  // Pipeline shape (§3.5.1: "4 MicroEngines (16 contexts) running the input
+  // Pipeline shape: by default 4 MicroEngines run the input loop and 2 the
+  // output loop (§3.5.1: "4 MicroEngines (16 contexts) running the input
   // loop and 2 MicroEngines (8 contexts) running the output loop").
-  int input_mes = 4;
-  int output_mes = 2;
   // Overrides for Figure 7 scaling experiments: if >= 0, use exactly this
   // many contexts for the stage (packed onto the minimum number of MEs).
   int input_contexts_override = -1;
@@ -110,10 +109,10 @@ struct RouterConfig {
   double sa_pentium_share = 3.0;  // tickets for the Pentium-bound queue
   double sa_local_share = 1.0;    // tickets for local forwarders
 
-  // ICMP error generation on the StrongARM exception path (time-exceeded
-  // for TTL expiry, destination-unreachable for routing failures).
-  bool generate_icmp_errors = true;
-  uint32_t router_ip = 0x0aff0001;  // 10.255.0.1, the errors' source
+  // The router's own address: the source of the ICMP errors the StrongARM
+  // originates (time-exceeded for TTL expiry, destination-unreachable for
+  // routing failures), and the address it answers pings on.
+  uint32_t router_ip = 0x0aff0001;  // 10.255.0.1
 
   // VRP admission budget for MicroEngine extensions.
   VrpBudget budget = VrpBudget::Prototype();
@@ -128,9 +127,8 @@ struct RouterConfig {
   double synthetic_exceptional_fraction = 0.0;
   double synthetic_pentium_fraction = 0.0;
   // InfiniteFifo destination pattern: uniform over ports, or everything to
-  // one port/queue (Table 1 row I.3, Figure 10 maximal contention).
+  // port 1's queue (Table 1 row I.3, Figure 10 maximal contention).
   bool synthetic_single_dst = false;
-  uint8_t synthetic_dst_port = 1;
 
   // Stage-isolation modes for Table 1 / Figure 7 ("results for input and
   // output are presented separately"):
@@ -163,12 +161,10 @@ struct RouterConfig {
 
   int num_ports() const { return static_cast<int>(port_rates_bps.size()); }
   int input_contexts() const {
-    return input_contexts_override >= 0 ? input_contexts_override
-                                        : input_mes * hw.contexts_per_me;
+    return input_contexts_override >= 0 ? input_contexts_override : 4 * hw.contexts_per_me;
   }
   int output_contexts() const {
-    return output_contexts_override >= 0 ? output_contexts_override
-                                         : output_mes * hw.contexts_per_me;
+    return output_contexts_override >= 0 ? output_contexts_override : 2 * hw.contexts_per_me;
   }
 };
 

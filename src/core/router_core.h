@@ -5,6 +5,7 @@
 #ifndef SRC_CORE_ROUTER_CORE_H_
 #define SRC_CORE_ROUTER_CORE_H_
 
+#include <optional>
 #include <vector>
 
 #include "src/core/buffer_allocator.h"
@@ -32,9 +33,8 @@ class OverloadGovernor;
 class UpgradeOrchestrator;
 
 struct RouterCore {
-  // Returns the packet's sidecar metadata regardless of allocator flavor,
-  // and releases a buffer when the stack pool (§3.2.3 ablation) owns it.
-  // Declared below the struct; see inline definitions at the bottom.
+  // The steps every processor level shares (buffer ownership, frame load,
+  // native forwarder runs) are inline functions below the struct.
 
   const RouterConfig* config = nullptr;
   EventQueue* engine = nullptr;
@@ -97,6 +97,34 @@ struct RouterCore {
   UpgradeOrchestrator* upgrade = nullptr;
 };
 
+// A packet buffer and the ring generation at its allocation (0 under the
+// stack pool, whose lifetimes are explicit).
+struct BufferGrant {
+  uint32_t addr = 0;
+  uint64_t generation = 0;
+};
+
+// Allocates a packet buffer from whichever allocator owns buffers. Nullopt
+// only when the stack pool (§3.2.3 ablation) is exhausted; the circular
+// ring never fails.
+inline std::optional<BufferGrant> AllocateBuffer(RouterCore& core, const BufferMeta& meta) {
+  if (core.stack_pool != nullptr) {
+    const std::optional<uint32_t> addr = core.stack_pool->Allocate(meta);
+    if (!addr) {
+      return std::nullopt;
+    }
+    return BufferGrant{*addr, 0};
+  }
+  const uint32_t addr = core.buffers->Allocate(meta);
+  return BufferGrant{addr, core.buffers->MetaFor(addr).generation};
+}
+
+// True while `desc`'s buffer still holds its packet: the circular ring
+// laps buffers, the stack pool never does.
+inline bool BufferStillValid(const RouterCore& core, const PacketDescriptor& desc) {
+  return core.stack_pool != nullptr || core.buffers->StillValid(desc.buffer_addr, desc.generation);
+}
+
 // Sidecar metadata for a buffer under either allocator.
 inline const BufferMeta& BufferMetaFor(const RouterCore& core, uint32_t addr) {
   return core.stack_pool != nullptr ? core.stack_pool->MetaFor(addr)
@@ -109,6 +137,40 @@ inline void ReleaseBuffer(RouterCore& core, uint32_t addr) {
   if (core.stack_pool != nullptr) {
     core.stack_pool->Free(addr);
   }
+}
+
+// Pulls a buffered frame out of DRAM into a buffer from `pool` (a one-off
+// heap buffer when the pool is null or capped out).
+inline Packet MaterializePacket(RouterCore& core, PacketPool* pool, const PacketDescriptor& desc) {
+  const uint32_t n = desc.frame_bytes;
+  FrameBuf* buf = pool != nullptr ? pool->TryAcquire(n) : nullptr;
+  if (buf == nullptr) {
+    buf = PacketPool::AcquireHeap(n);
+  }
+  core.chip->memory().dram_store().Read(desc.buffer_addr, std::span<uint8_t>(buf->data(), n));
+  return Packet::Adopt(buf);
+}
+
+// Runs a StrongARM or Pentium forwarder on `packet` against `flow`'s state
+// window (no flow: no state, as for the exception handler). `*out_port` is
+// the destination in and out. Returns the verdict; `*cycles` receives what
+// the hosting processor must be charged.
+inline NativeAction RunNative(RouterCore& core, NativeForwarder& fw, const FlowMeta* flow,
+                              Packet& packet, uint8_t* out_port, uint32_t* cycles) {
+  NativeContext nc;
+  nc.packet = &packet;
+  nc.sram = &core.chip->memory().sram_store();
+  if (flow != nullptr) {
+    nc.state_addr = flow->state_addr;
+    nc.state_bytes = flow->state_bytes;
+  }
+  nc.routes = core.route_table;
+  nc.now = core.engine->now();
+  nc.out_port = *out_port;
+  const NativeAction action = fw.Process(nc);
+  *cycles = fw.cycles_per_packet() + nc.extra_cycles;
+  *out_port = nc.out_port;
+  return action;
 }
 
 }  // namespace npr

@@ -14,16 +14,22 @@ namespace {
 
 constexpr size_t kHostBuffers = 64;
 
-// Pulls the frame out of DRAM into a pooled buffer (heap fallback when the
-// pool is absent or capped out) — no per-packet vector churn.
-Packet MaterializePacket(MemorySystem& mem, PacketPool* pool, const PacketDescriptor& desc) {
-  const uint32_t n = desc.frame_bytes;
-  FrameBuf* buf = pool != nullptr ? pool->TryAcquire(n) : nullptr;
-  if (buf == nullptr) {
-    buf = PacketPool::AcquireHeap(n);
+// Hands a packet the StrongARM finished, or the Pentium returned, to port
+// desc.out_port's first queue: push, mark ready and record `enqueued`; on a
+// full queue, count the drop, record it and release the buffer.
+void Reenqueue(RouterCore& core, const PacketDescriptor& desc, SpanPoint enqueued) {
+  PacketQueue& q = core.queues->QueueFor(0, desc.out_port, 0);
+  if (q.Push(desc)) {
+    core.queues->MarkReady(q);
+    NPR_OBS_HOOK(core.obs, Record(enqueued, BufferMetaFor(core, desc.buffer_addr).packet_id,
+                                  kUnitStrongArm, desc.out_port));
+  } else {
+    core.stats->dropped_queue_full += 1;
+    NPR_OBS_HOOK(core.obs, Record(SpanPoint::kDropQueueFull,
+                                  BufferMetaFor(core, desc.buffer_addr).packet_id,
+                                  kUnitStrongArm, desc.out_port));
+    ReleaseBuffer(core, desc.buffer_addr);
   }
-  mem.dram_store().Read(desc.buffer_addr, std::span<uint8_t>(buf->data(), n));
-  return Packet::Adopt(buf);
 }
 
 // True when the buffered frame is OSPF-lite (IP proto 89): the governor's
@@ -71,10 +77,28 @@ void StrongArmBridge::EnableFeedMode(size_t frame_bytes, bool move_full_frame) {
   feed_move_full_ = move_full_frame;
 }
 
+void StrongArmBridge::HandToPentium(const PacketDescriptor& desc, uint32_t bytes) {
+  const uint32_t ptr = *to_pentium_.free_q.Pop();
+  HostPacket hp{desc, bytes};
+  // The DMA engine runs concurrently with the StrongARM: post the transfer;
+  // completion publishes the pointer and rings the doorbell.
+  StrongArmBridge* self = this;
+  core_.host->pci().Issue(bytes, /*is_write=*/true, [self, ptr, hp] {
+    self->staging_[ptr] = hp;
+    self->to_pentium_.full_q.Push(ptr);
+    if (self->core_.pentium != nullptr) {
+      NotifyPentium(*self->core_.pentium);
+    }
+  });
+  ++bridged_to_pentium_;
+}
+
 Task StrongArmBridge::SaLoop() {
   SoftCore& sa = core_.chip->strongarm();
   const HwConfig& hw = core_.config->hw;
   MemorySystem& mem = core_.chip->memory();
+  // The forwarders the current local packet runs, kept across packets.
+  std::vector<const FlowMeta*> to_run;
 
   for (;;) {
     bool did_work = false;
@@ -153,24 +177,11 @@ Task StrongArmBridge::SaLoop() {
         const uint32_t extra_mps = desc->mp_count > 0 ? desc->mp_count - 1u : 0u;
         co_await sa.Compute(hw.sa_bridge_fixed_cycles +
                             hw.sa_bridge_per_extra_mp_cycles * extra_mps);
-        const uint32_t ptr = *to_pentium_.free_q.Pop();
         // Only the first 64 bytes plus the 8-byte internal routing header
         // cross PCI eagerly; the body is fetched lazily by the Pentium if
         // its forwarder needs it (§3.7).
-        const uint32_t bytes =
-            std::min<uint32_t>(desc->frame_bytes, 64) + hw.pci_routing_header_bytes;
-        HostPacket hp{*desc, bytes};
-        // The DMA engine runs concurrently with the StrongARM: post the
-        // transfer; completion publishes the pointer and rings the doorbell.
-        StrongArmBridge* self = this;
-        core_.host->pci().Issue(bytes, /*is_write=*/true, [self, ptr, hp] {
-          self->staging_[ptr] = hp;
-          self->to_pentium_.full_q.Push(ptr);
-          if (self->core_.pentium != nullptr) {
-            NotifyPentium(*self->core_.pentium);
-          }
-        });
-        ++bridged_to_pentium_;
+        HandToPentium(*desc,
+                      std::min<uint32_t>(desc->frame_bytes, 64) + hw.pci_routing_header_bytes);
         NPR_OBS_HOOK(core_.obs,
                      Record(SpanPoint::kBridgeToPe, BufferMetaFor(core_, desc->buffer_addr).packet_id,
                             kUnitStrongArm, desc->out_port));
@@ -198,19 +209,7 @@ Task StrongArmBridge::SaLoop() {
         } else {
           co_await sa.Write(mem.sram(), 4);
           sa.PostBurst(mem.scratch(), 2, 4);
-          PacketQueue& q = core_.queues->QueueFor(0, hp.desc.out_port, 0);
-          if (q.Push(hp.desc)) {
-            core_.queues->MarkReady(q);
-            NPR_OBS_HOOK(core_.obs, Record(SpanPoint::kSaReturnEnqueued,
-                                           BufferMetaFor(core_, hp.desc.buffer_addr).packet_id,
-                                           kUnitStrongArm, hp.desc.out_port));
-          } else {
-            core_.stats->dropped_queue_full += 1;
-            NPR_OBS_HOOK(core_.obs, Record(SpanPoint::kDropQueueFull,
-                                           BufferMetaFor(core_, hp.desc.buffer_addr).packet_id,
-                                           kUnitStrongArm, hp.desc.out_port));
-            ReleaseBuffer(core_, hp.desc.buffer_addr);
-          }
+          Reenqueue(core_, hp.desc, SpanPoint::kSaReturnEnqueued);
         }
         ++returned_;
       }
@@ -229,20 +228,9 @@ Task StrongArmBridge::SaLoop() {
       const uint32_t extra_mps = desc.mp_count - 1u;
       co_await sa.Compute(hw.sa_bridge_fixed_cycles +
                           hw.sa_bridge_per_extra_mp_cycles * extra_mps);
-      const uint32_t ptr = *to_pentium_.free_q.Pop();
-      const uint32_t bytes =
-          (feed_move_full_ ? desc.frame_bytes : std::min<uint32_t>(desc.frame_bytes, 64)) +
-          hw.pci_routing_header_bytes;
-      HostPacket hp{desc, bytes};
-      StrongArmBridge* self = this;
-      core_.host->pci().Issue(bytes, /*is_write=*/true, [self, ptr, hp] {
-        self->staging_[ptr] = hp;
-        self->to_pentium_.full_q.Push(ptr);
-        if (self->core_.pentium != nullptr) {
-          NotifyPentium(*self->core_.pentium);
-        }
-      });
-      ++bridged_to_pentium_;
+      HandToPentium(desc, (feed_move_full_ ? desc.frame_bytes
+                                           : std::min<uint32_t>(desc.frame_bytes, 64)) +
+                              hw.pci_routing_header_bytes);
       did_work = true;
     }
 
@@ -257,10 +245,7 @@ Task StrongArmBridge::SaLoop() {
       co_await sa.Read(mem.scratch(), 4);
       co_await sa.Read(mem.sram(), 4);
       auto desc = core_.sa_local_queue->Pop();
-      const bool still_valid =
-          desc && (core_.stack_pool != nullptr ||
-                   core_.buffers->StillValid(desc->buffer_addr, desc->generation));
-      if (still_valid) {
+      if (desc && BufferStillValid(core_, *desc)) {
         NPR_OBS_HOOK(core_.obs,
                      Record(SpanPoint::kSaDequeued, BufferMetaFor(core_, desc->buffer_addr).packet_id,
                             kUnitStrongArm, desc->out_port));
@@ -268,7 +253,7 @@ Task StrongArmBridge::SaLoop() {
         // directly, §3.6).
         co_await sa.Read(mem.dram(), 32);
         co_await sa.Read(mem.dram(), 32);
-        Packet packet = MaterializePacket(mem, core_.pool, *desc);
+        Packet packet = MaterializePacket(core_, core_.pool, *desc);
         pooled_live_ += packet.pooled() ? 1 : 0;
 
         bool forward = true;
@@ -279,12 +264,7 @@ Task StrongArmBridge::SaLoop() {
         // Per-flow SA forwarder, or the SA general chain.
         const FlowMeta* flow =
             desc->flow_handle != 0 ? core_.flow_table->Get(desc->flow_handle) : nullptr;
-        std::vector<const FlowMeta*> to_run;
-        if (flow != nullptr && flow->where == Where::kStrongArm) {
-          to_run.push_back(flow);
-        } else {
-          to_run = core_.flow_table->Generals(Where::kStrongArm);
-        }
+        core_.flow_table->ForwardersAt(Where::kStrongArm, flow, &to_run);
 
         // Route resolution: cache first, full CPE walk on a miss (the walk
         // is exactly what exceeds the VRP budget, §4.4).
@@ -306,10 +286,7 @@ Task StrongArmBridge::SaLoop() {
             }
             if (back.entry) {
               out_port = back.entry->out_port;
-              EthernetHeader reth = *EthernetHeader::Parse(packet.bytes());
-              reth.src = PortMac(out_port);
-              reth.dst = back.entry->next_hop_mac;
-              reth.Write(packet.bytes());
+              RewriteEgressMacs(packet.bytes(), out_port, back.entry->next_hop_mac);
               forward = true;
               core_.stats->icmp_generated += 1;
             }
@@ -322,16 +299,10 @@ Task StrongArmBridge::SaLoop() {
         } else if (ip->has_options() && core_.sa_exception_handler != nullptr) {
           // Full IP handles option packets end to end (route, options, TTL,
           // checksum, MACs) at its declared ~660 cycles (§4.4).
-          NativeForwarder* full_ip = core_.sa_exception_handler;
-          NativeContext nc;
-          nc.packet = &packet;
-          nc.sram = &mem.sram_store();
-          nc.routes = core_.route_table;
-          nc.now = core_.engine->now();
-          nc.out_port = out_port;
-          const NativeAction action = full_ip->Process(nc);
-          co_await sa.Compute(full_ip->cycles_per_packet() + nc.extra_cycles);
-          out_port = nc.out_port;
+          uint32_t cycles = 0;
+          const NativeAction action =
+              RunNative(core_, *core_.sa_exception_handler, nullptr, packet, &out_port, &cycles);
+          co_await sa.Compute(cycles);
           forward = action == NativeAction::kForward;
         } else if (ip->ttl <= 1) {
           forward = false;
@@ -364,10 +335,7 @@ Task StrongArmBridge::SaLoop() {
             // Minimal IP transform (full-IP / option handling is a
             // registered native forwarder and runs below).
             if (DecrementTtlInPlace(packet.l3())) {
-              EthernetHeader eth = *EthernetHeader::Parse(packet.bytes());
-              eth.src = PortMac(out_port);
-              eth.dst = entry.next_hop_mac;
-              eth.Write(packet.bytes());
+              RewriteEgressMacs(packet.bytes(), out_port, entry.next_hop_mac);
             } else {
               forward = false;
             }
@@ -382,17 +350,9 @@ Task StrongArmBridge::SaLoop() {
           if (fw == nullptr) {
             continue;
           }
-          NativeContext nc;
-          nc.packet = &packet;
-          nc.sram = &mem.sram_store();
-          nc.state_addr = f->state_addr;
-          nc.state_bytes = f->state_bytes;
-          nc.routes = core_.route_table;
-          nc.now = core_.engine->now();
-          nc.out_port = out_port;
-          const NativeAction action = fw->Process(nc);
-          co_await sa.Compute(fw->cycles_per_packet() + nc.extra_cycles);
-          out_port = nc.out_port;
+          uint32_t cycles = 0;
+          const NativeAction action = RunNative(core_, *fw, f, packet, &out_port, &cycles);
+          co_await sa.Compute(cycles);
           if (action != NativeAction::kForward) {
             forward = false;
           }
@@ -409,25 +369,11 @@ Task StrongArmBridge::SaLoop() {
           PacketDescriptor out = *desc;
           out.out_port = out_port;
           out.exceptional = false;
-          PacketQueue& q = core_.queues->QueueFor(0, out_port, 0);
-          if (q.Push(out)) {
-            core_.queues->MarkReady(q);
-            NPR_OBS_HOOK(core_.obs,
-                         Record(SpanPoint::kSaForwarded,
-                                BufferMetaFor(core_, out.buffer_addr).packet_id, kUnitStrongArm,
-                                out_port));
-          } else {
-            core_.stats->dropped_queue_full += 1;
-            NPR_OBS_HOOK(core_.obs,
-                         Record(SpanPoint::kDropQueueFull,
-                                BufferMetaFor(core_, out.buffer_addr).packet_id, kUnitStrongArm,
-                                out_port));
-            ReleaseBuffer(core_, out.buffer_addr);
-          }
+          Reenqueue(core_, out, SpanPoint::kSaForwarded);
         }
         // Originate the ICMP error for failed packets (RFC 792), routed
         // back toward the offender's source like any other packet.
-        if (!forward && icmp_type != 255 && core_.config->generate_icmp_errors) {
+        if (!forward && icmp_type != 255) {
           auto reply = BuildIcmpError(icmp_type, icmp_code, packet, core_.config->router_ip);
           if (reply) {
             auto reply_ip = Ipv4Header::Parse(reply->l3());
@@ -437,35 +383,19 @@ Task StrongArmBridge::SaLoop() {
               co_await sa.Read(mem.sram(), 4);
             }
             if (back.entry) {
-              EthernetHeader reth = *EthernetHeader::Parse(reply->bytes());
-              reth.src = PortMac(back.entry->out_port);
-              reth.dst = back.entry->next_hop_mac;
-              reth.Write(reply->bytes());
-
+              RewriteEgressMacs(reply->bytes(), back.entry->out_port, back.entry->next_hop_mac);
               BufferMeta bmeta;
               bmeta.packet_id = reply->id();
               bmeta.ingress_time = core_.engine->now();
-              uint32_t buf = 0;
-              bool have_buf = true;
-              if (core_.stack_pool != nullptr) {
-                auto a = core_.stack_pool->Allocate(bmeta);
-                have_buf = a.has_value();
-                if (have_buf) {
-                  buf = *a;
-                }
-              } else {
-                buf = core_.buffers->Allocate(bmeta);
-              }
-              if (have_buf) {
-                mem.dram_store().Write(buf, reply->bytes());
+              if (const std::optional<BufferGrant> grant = AllocateBuffer(core_, bmeta)) {
+                mem.dram_store().Write(grant->addr, reply->bytes());
                 sa.PostBurst(mem.dram(), 2, 32);
                 PacketDescriptor icmp_desc;
-                icmp_desc.buffer_addr = buf;
+                icmp_desc.buffer_addr = grant->addr;
                 icmp_desc.frame_bytes = static_cast<uint16_t>(reply->size());
                 icmp_desc.mp_count = static_cast<uint16_t>(reply->mp_count());
                 icmp_desc.out_port = back.entry->out_port;
-                icmp_desc.generation =
-                    core_.stack_pool != nullptr ? 0 : core_.buffers->MetaFor(buf).generation;
+                icmp_desc.generation = grant->generation;
                 co_await sa.Write(mem.sram(), 4);
                 PacketQueue& iq = core_.queues->QueueFor(0, icmp_desc.out_port, 0);
                 if (iq.Push(icmp_desc)) {
@@ -475,7 +405,7 @@ Task StrongArmBridge::SaLoop() {
                   NPR_OBS_HOOK(core_.obs, Record(SpanPoint::kIcmpOriginated, reply->id(),
                                                  kUnitStrongArm, icmp_desc.out_port));
                 } else {
-                  ReleaseBuffer(core_, buf);
+                  ReleaseBuffer(core_, icmp_desc.buffer_addr);
                 }
               }
             }

@@ -59,9 +59,10 @@ class StrongArmBridge {
 
  private:
   Task SaLoop();
-  // One local packet: slow-path route resolution / full IP / SA flow
-  // forwarder. Returns true if it forwarded the packet onward.
-  // (implemented inline in the loop; see .cc)
+  // Posts `bytes` of the packet across PCI into the next free host buffer
+  // (the caller checked that one is free); the DMA completion stages it,
+  // publishes the pointer and rings the Pentium's doorbell (§3.7).
+  void HandToPentium(const PacketDescriptor& desc, uint32_t bytes);
 
   RouterCore& core_;
   Classifier& classifier_;

@@ -19,8 +19,8 @@ NativeAction FullIpForwarder::Process(NativeContext& ctx) {
   // Option processing (§4.4: the full protocol "including options").
   if (ip->has_options()) {
     ++options_handled_;
-    ctx.extra_cycles += static_cast<uint32_t>(ip->options.size()) * 8;
-    for (size_t i = 0; i + 1 < ip->options.size();) {
+    ctx.extra_cycles += static_cast<uint32_t>(ip->options_len) * 8;
+    for (size_t i = 0; i + 1 < ip->options_len;) {
       const uint8_t type = ip->options[i];
       if (type == 0) {  // end of options
         break;
@@ -30,7 +30,7 @@ NativeAction FullIpForwarder::Process(NativeContext& ctx) {
         continue;
       }
       const uint8_t len = ip->options[i + 1];
-      if (len < 2 || i + len > ip->options.size()) {
+      if (len < 2 || i + len > ip->options_len) {
         return NativeAction::kDrop;  // malformed option
       }
       if (type == 7 && len >= 7) {
@@ -60,10 +60,7 @@ NativeAction FullIpForwarder::Process(NativeContext& ctx) {
   ip->ttl -= 1;
   ip->Write(l3);  // recomputes the checksum from scratch (full IP path)
 
-  EthernetHeader eth = *EthernetHeader::Parse(ctx.packet->bytes());
-  eth.src = PortMac(ctx.out_port);
-  eth.dst = lookup.entry->next_hop_mac;
-  eth.Write(ctx.packet->bytes());
+  RewriteEgressMacs(ctx.packet->bytes(), ctx.out_port, lookup.entry->next_hop_mac);
 
   // Update counters in flow state: [0] processed, [4] with-options.
   if (ctx.state_bytes >= 8 && ctx.sram != nullptr) {

@@ -33,4 +33,10 @@ void EthernetHeader::Write(std::span<uint8_t> frame) const {
   WriteBe16(frame, 12, ethertype);
 }
 
+void RewriteEgressMacs(std::span<uint8_t> frame, uint8_t out_port, const MacAddr& next_hop) {
+  const MacAddr src = PortMac(out_port);
+  std::memcpy(frame.data(), next_hop.data(), 6);
+  std::memcpy(frame.data() + 6, src.data(), 6);
+}
+
 }  // namespace npr

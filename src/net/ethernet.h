@@ -36,6 +36,11 @@ struct EthernetHeader {
   void Write(std::span<uint8_t> frame) const;
 };
 
+// Egress rewrite of a forwarded frame (§3.2): source = `out_port`'s MAC,
+// destination = the next hop's; the EtherType stays. `frame` must hold the
+// 14-byte header.
+void RewriteEgressMacs(std::span<uint8_t> frame, uint8_t out_port, const MacAddr& next_hop);
+
 }  // namespace npr
 
 #endif  // SRC_NET_ETHERNET_H_

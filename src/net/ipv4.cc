@@ -75,15 +75,14 @@ std::optional<Ipv4Header> Ipv4Header::Parse(std::span<const uint8_t> data) {
   h.src = ReadBe32(data, 12);
   h.dst = ReadBe32(data, 16);
   if (h.ihl > 5) {
-    const size_t opt_bytes = h.header_bytes() - kIpv4MinHeaderBytes;
-    h.options.assign(data.begin() + kIpv4MinHeaderBytes,
-                     data.begin() + kIpv4MinHeaderBytes + static_cast<long>(opt_bytes));
+    h.options_len = static_cast<uint8_t>(h.header_bytes() - kIpv4MinHeaderBytes);
+    std::memcpy(h.options.data(), data.data() + kIpv4MinHeaderBytes, h.options_len);
   }
   return h;
 }
 
 void Ipv4Header::Write(std::span<uint8_t> data) {
-  ihl = static_cast<uint8_t>(5 + options.size() / 4);
+  ihl = static_cast<uint8_t>(5 + options_len / 4);
   data[0] = static_cast<uint8_t>(version << 4 | ihl);
   data[1] = tos;
   WriteBe16(data, 2, total_length);
@@ -94,9 +93,7 @@ void Ipv4Header::Write(std::span<uint8_t> data) {
   WriteBe16(data, 10, 0);  // checksum computed below
   WriteBe32(data, 12, src);
   WriteBe32(data, 16, dst);
-  if (!options.empty()) {
-    std::memcpy(data.data() + kIpv4MinHeaderBytes, options.data(), options.size());
-  }
+  std::memcpy(data.data() + kIpv4MinHeaderBytes, options.data(), options_len);
   checksum = InetChecksum(data.subspan(0, header_bytes()));
   WriteBe16(data, 10, checksum);
 }

@@ -3,16 +3,17 @@
 #ifndef SRC_NET_IPV4_H_
 #define SRC_NET_IPV4_H_
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace npr {
 
 inline constexpr size_t kIpv4MinHeaderBytes = 20;
+inline constexpr size_t kIpv4MaxOptionBytes = 40;  // IHL 15
 inline constexpr uint8_t kIpProtoIcmp = 1;
 inline constexpr uint8_t kIpProtoTcp = 6;
 inline constexpr uint8_t kIpProtoUdp = 17;
@@ -42,7 +43,10 @@ struct Ipv4Header {
   uint16_t checksum = 0;
   uint32_t src = 0;
   uint32_t dst = 0;
-  std::vector<uint8_t> options;  // raw option bytes, (ihl - 5) * 4 of them
+  // Raw option bytes: the first options_len, (ihl - 5) * 4 once parsed. A
+  // fixed array, so parsing an option packet allocates nothing.
+  std::array<uint8_t, kIpv4MaxOptionBytes> options{};
+  uint8_t options_len = 0;
 
   size_t header_bytes() const { return static_cast<size_t>(ihl) * 4; }
   bool has_options() const { return ihl > 5; }

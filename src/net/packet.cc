@@ -48,15 +48,14 @@ void BuildFrameInto(const PacketSpec& spec, std::span<uint8_t> frame) {
   ip.protocol = spec.protocol;
   ip.src = spec.src_ip;
   ip.dst = spec.dst_ip;
-  ip.options = spec.ip_options;
-  // Options must be padded to a multiple of 4.
-  while (ip.options.size() % 4 != 0) {
-    ip.options.push_back(0);  // EOL padding
-  }
+  // Options, EOL-padded to a multiple of 4 (the array starts zeroed).
+  const size_t n_options = std::min(spec.ip_options.size(), kIpv4MaxOptionBytes);
+  std::copy_n(spec.ip_options.begin(), n_options, ip.options.begin());
+  ip.options_len = static_cast<uint8_t>((n_options + 3) / 4 * 4);
   ip.total_length = static_cast<uint16_t>(frame.size() - kEthHeaderBytes);
 
   const size_t l3_off = kEthHeaderBytes;
-  const size_t l4_off = l3_off + kIpv4MinHeaderBytes + ip.options.size();
+  const size_t l4_off = l3_off + kIpv4MinHeaderBytes + ip.options_len;
   std::span<uint8_t> l4(frame.data() + l4_off, frame.size() - l4_off);
 
   // Deterministic payload pattern for end-to-end integrity checks.

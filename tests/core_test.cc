@@ -272,9 +272,26 @@ TEST(FlowTable, GeneralsFilteredByWhere) {
   pe.where = Where::kPentium;
   table.Insert(sa);
   table.Insert(pe);
-  EXPECT_EQ(table.Generals(Where::kStrongArm).size(), 1u);
-  EXPECT_EQ(table.Generals(Where::kPentium).size(), 1u);
-  EXPECT_EQ(table.Generals(Where::kMicroEngine).size(), 0u);
+  std::vector<const FlowMeta*> run;
+  EXPECT_FALSE(table.ForwardersAt(Where::kStrongArm, nullptr, &run));
+  EXPECT_EQ(run.size(), 1u);
+  EXPECT_FALSE(table.ForwardersAt(Where::kPentium, nullptr, &run));
+  EXPECT_EQ(run.size(), 1u);
+  EXPECT_FALSE(table.ForwardersAt(Where::kMicroEngine, nullptr, &run));
+  EXPECT_EQ(run.size(), 0u);
+
+  // A flow bound to a level runs only its own forwarder there; elsewhere it
+  // runs that level's generals.
+  FlowMeta own;
+  own.key = FlowKey::Tuple(1, 2, 3, 4);
+  own.where = Where::kPentium;
+  const FlowMeta* bound = table.Get(table.Insert(own));
+  EXPECT_TRUE(table.ForwardersAt(Where::kPentium, bound, &run));
+  ASSERT_EQ(run.size(), 1u);
+  EXPECT_EQ(run[0], bound);
+  EXPECT_FALSE(table.ForwardersAt(Where::kStrongArm, bound, &run));
+  ASSERT_EQ(run.size(), 1u);
+  EXPECT_EQ(run[0]->where, Where::kStrongArm);
 }
 
 // --- PropShareScheduler ---

@@ -67,10 +67,8 @@ TEST(IcmpBuilder, NeverAboutIcmpErrors) {
 
 class IcmpPathTest : public ::testing::Test {
  protected:
-  std::unique_ptr<Router> MakeRouter(bool icmp_on = true) {
-    RouterConfig cfg;
-    cfg.generate_icmp_errors = icmp_on;
-    auto router = std::make_unique<Router>(std::move(cfg));
+  std::unique_ptr<Router> MakeRouter() {
+    auto router = std::make_unique<Router>(RouterConfig{});
     for (int p = 0; p < router->num_ports(); ++p) {
       router->AddRoute("10." + std::to_string(p) + ".0.0/16", static_cast<uint8_t>(p));
     }
@@ -125,19 +123,6 @@ TEST_F(IcmpPathTest, UnroutableGeneratesUnreachable) {
   ASSERT_TRUE(icmp);
   EXPECT_EQ(icmp->type, kIcmpDestUnreachable);
   EXPECT_EQ(icmp->code, kIcmpCodeHostUnreachable);
-}
-
-TEST_F(IcmpPathTest, DisabledFlagSuppressesErrors) {
-  auto router = MakeRouter(/*icmp_on=*/false);
-  router->Start();
-  PacketSpec spec;
-  spec.src_ip = SrcIpForPort(0, 1);
-  spec.dst_ip = DstIpForPort(2, 1);
-  spec.ttl = 1;
-  router->port(0).InjectFromWire(BuildPacket(spec));
-  router->RunForMs(3.0);
-  EXPECT_EQ(router->stats().icmp_generated, 0u);
-  EXPECT_EQ(back_to_source_, 0u);
 }
 
 TEST_F(IcmpPathTest, UnroutableSourceDropsSilently) {

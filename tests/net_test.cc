@@ -113,15 +113,51 @@ TEST(Ipv4, RoundTripWithOptions) {
   h.protocol = kIpProtoTcp;
   h.total_length = 60;
   h.options = {0x07, 0x04, 0x04, 0x00};
+  h.options_len = 4;
   uint8_t buf[24];
   h.Write(buf);
   auto parsed = Ipv4Header::Parse(buf);
   ASSERT_TRUE(parsed);
   EXPECT_EQ(parsed->ihl, 6);
   EXPECT_TRUE(parsed->has_options());
+  EXPECT_EQ(parsed->options_len, 4);
   EXPECT_EQ(parsed->options, h.options);
   EXPECT_EQ(parsed->src, h.src);
   EXPECT_TRUE(Ipv4Header::Validate(buf));
+}
+
+TEST(Ipv4, RoundTripWithMaximalOptions) {
+  // IHL 15: 40 option bytes, a record route with nine slots plus EOL.
+  Ipv4Header h;
+  h.total_length = 60;
+  h.options[0] = 0x07;
+  h.options[1] = 39;
+  h.options[2] = 0x04;
+  for (size_t i = 3; i < 39; ++i) {
+    h.options[i] = static_cast<uint8_t>(i);
+  }
+  h.options_len = 40;
+  uint8_t buf[60];
+  h.Write(buf);
+  EXPECT_EQ(h.ihl, 15);
+  auto parsed = Ipv4Header::Parse(buf);
+  ASSERT_TRUE(parsed);
+  EXPECT_EQ(parsed->ihl, 15);
+  EXPECT_EQ(parsed->header_bytes(), 60u);
+  EXPECT_EQ(parsed->options_len, 40);
+  EXPECT_EQ(parsed->options, h.options);
+  EXPECT_TRUE(Ipv4Header::Validate(buf));
+
+  // The frame builder takes the same 40 bytes and lays the payload after.
+  PacketSpec spec;
+  spec.ip_options.assign(h.options.begin(), h.options.end());
+  spec.frame_bytes = 128;
+  Packet p = BuildPacket(spec);
+  auto built = Ipv4Header::Parse(p.l3());
+  ASSERT_TRUE(built);
+  EXPECT_EQ(built->options_len, 40);
+  EXPECT_EQ(built->options, h.options);
+  EXPECT_TRUE(Ipv4Header::Validate(p.l3()));
 }
 
 TEST(Ipv4, ValidateRejectsCorruption) {

@@ -23,16 +23,21 @@
 #include <cstdlib>
 #include <memory>
 #include <ostream>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/router.h"
 #include "src/fault/fault_injector.h"
 #include "src/fault/router_invariants.h"
+#include "src/forwarders/native.h"
 #include "src/forwarders/vrp_programs.h"
 #include "src/health/health_monitor.h"
+#include "src/net/icmp.h"
 #include "src/net/traffic_gen.h"
 #include "src/obs/observer.h"
+#include "src/vrp/assembler.h"
 
 namespace npr {
 namespace {
@@ -67,16 +72,20 @@ std::string RenderRecord(const SpanRecord& r) {
   return std::string(line);
 }
 
-uint64_t Fnv1a(const std::vector<SpanRecord>& records) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (const SpanRecord& r : records) {
-    const auto* bytes = reinterpret_cast<const unsigned char*>(&r);
-    for (size_t i = 0; i < sizeof(SpanRecord); ++i) {
-      h ^= bytes[i];
-      h *= 0x100000001b3ULL;
-    }
+constexpr uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+
+uint64_t FnvBytes(uint64_t h, std::span<const uint8_t> bytes) {
+  for (uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
   }
   return h;
+}
+
+uint64_t Fnv1a(const std::vector<SpanRecord>& records) {
+  return FnvBytes(kFnvBasis,
+                  std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(records.data()),
+                                           records.size() * sizeof(SpanRecord)));
 }
 
 // --- golden per-packet trace (Table 1 line-rate config, fixed seed) ------
@@ -154,6 +163,297 @@ TEST(GoldenTraceTest, LineRateSpanStreamIsDeterministicAndMatchesGolden) {
   EXPECT_EQ(golden, expected)
       << "span stream diverged from the committed golden; if the router's "
          "timing changed intentionally, regenerate with NPR_REGEN_GOLDEN=1";
+}
+
+// --- golden exception path (StrongARM and Pentium, fixed seeds) ----------
+
+// Pentium control forwarder: consumes OSPF-lite frames, passes the rest.
+class ControlConsumer : public NativeForwarder {
+ public:
+  const std::string& name() const override { return name_; }
+  uint32_t cycles_per_packet() const override { return 300; }
+  NativeAction Process(NativeContext& ctx) override {
+    auto ip = Ipv4Header::Parse(ctx.packet->l3());
+    return ip && ip->protocol == kIpProtoOspfLite ? NativeAction::kConsume
+                                                  : NativeAction::kForward;
+  }
+
+ private:
+  std::string name_ = "control-consumer";
+};
+
+Packet BuildEchoRequest(uint32_t src, uint32_t dst, uint16_t ident) {
+  PacketSpec spec;
+  spec.protocol = kIpProtoIcmp;
+  spec.src_ip = src;
+  spec.dst_ip = dst;
+  spec.frame_bytes = 74;
+  Packet p = BuildPacket(spec);
+  IcmpHeader icmp;
+  icmp.type = kIcmpEchoRequest;
+  icmp.rest = static_cast<uint32_t>(ident) << 16 | 1;
+  icmp.WriteWithChecksum(p.l4());
+  return p;
+}
+
+struct ExceptionPathRun {
+  std::vector<SpanRecord> records;
+  uint64_t frames = 0;
+  uint64_t frames_fnv = kFnvBasis;  // over (port, frame) pairs
+  RouterStats stats;
+  uint64_t options_handled = 0;
+  uint64_t sa_flow_processed = 0;
+};
+
+// Every exception-path service on one router, congested so the StrongARM
+// and Pentium re-enqueues meet full queues: IP options through full IP,
+// TTL expiry and unroutable destinations answered with ICMP, a ping to the
+// router, route-cache misses (a cold cache and an epoch bump), per-flow
+// StrongARM and Pentium forwarders, a general StrongARM forwarder, a
+// general Pentium forwarder consuming OSPF-lite frames, and per-flow and
+// general VRP programs (tagger, except, SYN monitor, port filter).
+ExceptionPathRun RunExceptionPath() {
+  ExceptionPathRun run;
+  RouterConfig cfg;
+  cfg.classifier = ClassifierMode::kFlowTable;
+  cfg.queue_capacity = 32;
+  Router router(std::move(cfg));
+  ObserverConfig ocfg;
+  ocfg.capture_reserve = 1u << 19;
+  Observer obs(router.engine(), ocfg);
+  router.SetObserver(&obs);
+  for (int p = 0; p < router.num_ports(); ++p) {
+    router.AddRoute("10." + std::to_string(p) + ".0.0/16", static_cast<uint8_t>(p));
+    router.port(p).SetSink([&run, p](Packet&& pkt) {
+      const uint8_t port = static_cast<uint8_t>(p);
+      run.frames_fnv = FnvBytes(run.frames_fnv, std::span<const uint8_t>(&port, 1));
+      run.frames_fnv = FnvBytes(run.frames_fnv, pkt.bytes());
+      ++run.frames;
+    });
+  }
+  router.AddRoute("172.16.0.0/12", 5);  // sources, for ICMP replies
+  router.WarmRouteCache(4);
+  auto full_ip = std::make_unique<FullIpForwarder>();
+  FullIpForwarder* full_ip_ptr = full_ip.get();
+  router.SetExceptionHandler(std::move(full_ip));
+
+  // Pinned flows: (in port, out port, source port, protocol).
+  struct Pinned {
+    int in;
+    uint8_t out;
+    uint16_t sport;
+    uint8_t proto;
+  };
+  const Pinned tagged{0, 3, 4000, kIpProtoTcp};
+  const Pinned pe_fixed{1, 7, 4001, kIpProtoUdp};
+  const Pinned excepted{2, 4, 4002, kIpProtoUdp};
+  const Pinned sa_flow{3, 6, 4003, kIpProtoUdp};
+  const Pinned proxied{4, 4, 4004, kIpProtoTcp};
+  auto key_of = [](const Pinned& f) {
+    return FlowKey::Tuple(SrcIpForPort(static_cast<uint8_t>(f.in), 1), DstIpForPort(f.out, 1),
+                          f.sport, 5000);
+  };
+
+  auto sa_svc = std::make_unique<FixedCostForwarder>("sa-svc", 400);
+  FixedCostForwarder* sa_svc_ptr = sa_svc.get();
+  const int sa_svc_index = router.sa_forwarders().Register(std::move(sa_svc));
+  const int sa_null_index = router.sa_forwarders().Register(std::make_unique<NullForwarder>());
+  const int pe_fixed_index =
+      router.pe_forwarders().Register(std::make_unique<FixedCostForwarder>("pe-svc", 1000));
+  const int pe_proxy_index =
+      router.pe_forwarders().Register(std::make_unique<TcpProxyForwarder>());
+  const int pe_control_index =
+      router.pe_forwarders().Register(std::make_unique<ControlConsumer>());
+
+  const VrpProgram tagger = BuildDscpTagger();
+  const VrpProgram syn = BuildSynMonitor();
+  const VrpProgram filter = BuildPortFilter();
+  auto except = Assemble("divert", "except\n");
+  EXPECT_TRUE(except.ok);
+
+  auto install = [&router](InstallRequest req) {
+    const InstallOutcome outcome = router.Install(req);
+    EXPECT_TRUE(outcome.ok) << outcome.error;
+    return outcome.fid;
+  };
+  InstallRequest req;
+  req.where = Where::kMicroEngine;
+  req.key = key_of(tagged);
+  req.program = &tagger;
+  const uint32_t tagger_fid = install(req);
+  req.key = key_of(excepted);
+  req.program = &except.program;
+  install(req);
+  req.key = FlowKey::All();
+  req.program = &syn;
+  install(req);
+  req.program = &filter;
+  const uint32_t filter_fid = install(req);
+
+  req = InstallRequest{};
+  req.where = Where::kStrongArm;
+  req.key = key_of(sa_flow);
+  req.native_index = sa_svc_index;
+  req.expected_pps = 3'000;
+  install(req);
+  req.key = FlowKey::All();
+  req.native_index = sa_null_index;
+  req.expected_pps = 1'000;
+  install(req);
+
+  req = InstallRequest{};
+  req.where = Where::kPentium;
+  req.key = key_of(pe_fixed);
+  req.native_index = pe_fixed_index;
+  req.expected_pps = 3'000;
+  req.expected_cpp = 1000;
+  install(req);
+  req.key = key_of(proxied);
+  req.native_index = pe_proxy_index;
+  req.expected_cpp = 800;
+  install(req);
+  req.key = FlowKey::All();
+  req.native_index = pe_control_index;
+  req.expected_pps = 5'000;
+  req.expected_cpp = 300;
+  install(req);
+
+  const uint32_t dscp_ef = 0xb8;
+  router.SetData(tagger_fid, std::span<const uint8_t>(
+                                 reinterpret_cast<const uint8_t*>(&dscp_ef), sizeof(dscp_ef)));
+  // The port filter drops TCP/UDP destination port 6000: [0] = lo<<16 | hi.
+  const uint32_t blocked = 6000u << 16 | 6000u;
+  router.SetData(filter_fid, std::span<const uint8_t>(
+                                 reinterpret_cast<const uint8_t*>(&blocked), sizeof(blocked)));
+  router.Start();
+
+  const SimTime until = static_cast<SimTime>(2.5 * kPsPerMs);
+  std::vector<std::unique_ptr<TrafficGen>> gens;
+  auto start = [&](int port, const TrafficSpec& spec, uint64_t seed) {
+    gens.push_back(std::make_unique<TrafficGen>(router.engine(), router.port(port), spec, seed));
+    gens.back()->Start(until);
+  };
+  {
+    TrafficSpec mixed;  // cold-cache misses, IP options, SYNs
+    mixed.rate_pps = 90'000;
+    mixed.dst_spread = 32;
+    mixed.exceptional_fraction = 0.05;
+    mixed.syn_fraction = 0.02;
+    start(0, mixed, 11);
+    TrafficSpec filtered;
+    filtered.rate_pps = 10'000;
+    filtered.dst_port = 6000;
+    start(1, filtered, 12);
+    TrafficSpec expiring;
+    expiring.rate_pps = 5'000;
+    expiring.ttl = 1;
+    expiring.pattern = TrafficSpec::DstPattern::kSinglePort;
+    expiring.single_dst_port = 3;
+    start(2, expiring, 13);
+    TrafficSpec control;
+    control.rate_pps = 5'000;
+    control.protocol = kIpProtoOspfLite;
+    start(3, control, 14);
+    TrafficSpec large;
+    large.rate_pps = 8'000;
+    large.frame_bytes = 576;
+    large.dst_spread = 16;
+    large.exceptional_fraction = 0.1;
+    start(5, large, 15);
+    TrafficSpec congest;  // two sources into port 4's 100 Mbps
+    congest.rate_pps = 100'000;
+    congest.pattern = TrafficSpec::DstPattern::kSinglePort;
+    congest.single_dst_port = 4;
+    start(6, congest, 16);
+    start(7, congest, 17);
+  }
+  int stream = 20;
+  for (const Pinned& f : {tagged, pe_fixed, excepted, sa_flow, proxied}) {
+    TrafficSpec spec;
+    spec.rate_pps = 3'000;
+    spec.pattern = TrafficSpec::DstPattern::kSinglePort;
+    spec.single_dst_port = f.out;
+    spec.src_port = f.sport;
+    spec.dst_port = 5000;
+    spec.protocol = f.proto;
+    spec.frame_bytes = f.proto == kIpProtoTcp ? 200 : 64;
+    start(f.in, spec, static_cast<uint64_t>(stream++));
+  }
+
+  // One-off frames: pings to the router, unroutable destinations, and
+  // record-route options with room for a stamp.
+  std::vector<std::pair<int, Packet>> injected;
+  for (int i = 0; i < 4; ++i) {
+    PacketSpec unroutable;
+    unroutable.src_ip = SrcIpForPort(1, static_cast<uint16_t>(9 + i));
+    unroutable.dst_ip = Ipv4FromString("192.0.2." + std::to_string(1 + i));
+    PacketSpec record_route;
+    record_route.src_ip = SrcIpForPort(2, 9);
+    record_route.dst_ip = DstIpForPort(static_cast<uint8_t>(i), 2);
+    record_route.ip_options = {0x07, 0x07, 0x04, 0, 0, 0, 0};
+    injected.emplace_back(0, BuildEchoRequest(SrcIpForPort(0, 9), router.config().router_ip,
+                                              static_cast<uint16_t>(40 + i)));
+    injected.emplace_back(1, BuildPacket(unroutable));
+    injected.emplace_back(2, BuildPacket(record_route));
+  }
+  for (size_t k = 0; k < injected.size(); ++k) {
+    std::pair<int, Packet>* entry = &injected[k];
+    entry->second.set_id(0x7f000001u + static_cast<uint32_t>(k));
+    const SimTime at = static_cast<SimTime>(300 + 150 * k) * kPsPerUs;
+    router.engine().Schedule(at, [&router, entry] {
+      router.port(entry->first).InjectFromWire(std::move(entry->second));
+    });
+  }
+  // A route added mid-run bumps the epoch: every cached route misses once.
+  router.engine().Schedule(kPsPerMs, [&router] { router.AddRoute("10.6.128.0/17", 6); });
+
+  router.RunForMs(4.0);
+  EXPECT_FALSE(obs.capture_truncated()) << "raise capture_reserve";
+  run.records = obs.capture();
+  run.stats = router.stats();
+  run.options_handled = full_ip_ptr->options_handled();
+  run.sa_flow_processed = sa_svc_ptr->processed();
+  return run;
+}
+
+uint64_t RenderedFnv1a(const std::vector<SpanRecord>& records) {
+  uint64_t h = kFnvBasis;
+  for (const SpanRecord& r : records) {
+    const std::string line = RenderRecord(r) + "\n";
+    h = FnvBytes(h, std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(line.data()),
+                                             line.size()));
+  }
+  return h;
+}
+
+TEST(GoldenTraceTest, ExceptionPathSpansAndFramesArePinned) {
+  const ExceptionPathRun run = RunExceptionPath();
+  const RouterStats& s = run.stats;
+
+  // The run exercises what it claims to pin.
+  EXPECT_GT(run.options_handled, 0u) << "no option packet reached full IP";
+  EXPECT_GT(run.sa_flow_processed, 0u) << "no packet ran the per-flow StrongARM forwarder";
+  EXPECT_GT(s.icmp_originated, 0u) << "no ICMP error";
+  EXPECT_GT(s.icmp_generated, s.icmp_originated) << "no echo reply";
+  EXPECT_GT(s.pe_absorbed, 0u) << "no OSPF-lite frame consumed";
+  EXPECT_GT(s.pentium_processed, s.pe_absorbed) << "no Pentium packet returned";
+  EXPECT_GT(s.dropped_by_vrp, 0u) << "the general port filter dropped nothing";
+  EXPECT_GT(s.sa_local_processed, 0u);
+  uint64_t reenqueue_full = 0;
+  for (const SpanRecord& r : run.records) {
+    if (r.point == static_cast<uint8_t>(SpanPoint::kDropQueueFull) && r.unit == kUnitStrongArm) {
+      ++reenqueue_full;
+    }
+  }
+  EXPECT_GT(reenqueue_full, 0u) << "no StrongARM re-enqueue met a full queue";
+
+  // Pinned values: the span stream and the transmitted frames may only
+  // change together with a deliberate change of exception-path timing or
+  // bytes.
+  EXPECT_EQ(run.records.size(), 8055u);
+  EXPECT_EQ(RenderedFnv1a(run.records), 0x777d4974e20837f1ULL);
+  EXPECT_EQ(run.frames, 696u);
+  EXPECT_EQ(run.frames_fnv, 0x5a34151578efb404ULL);
 }
 
 // --- reconciliation: span fold == RouterStats, profiler == engines -------

@@ -77,19 +77,8 @@ TEST(Qos, HighPriorityFlowSurvivesCongestion) {
 }
 
 TEST(Qos, PriorityFromVrpClampedToConfiguredQueues) {
-  // setq beyond queues_per_port-1 is clamped, not an overflow.
-  RouterConfig cfg;
-  cfg.queues_per_port = 2;
-  cfg.output_servicing = OutputServicing::kMultiQueueIndirection;
-  cfg.classifier = ClassifierMode::kFlowTable;
-  Router router(std::move(cfg));
-  for (int p = 0; p < router.num_ports(); ++p) {
-    router.AddRoute("10." + std::to_string(p) + ".0.0/16", static_cast<uint8_t>(p));
-  }
-  router.WarmRouteCache(8);
-  uint64_t delivered = 0;
-  router.port(1).SetSink([&](Packet&&) { ++delivered; });
-
+  // setq beyond queues_per_port-1 is clamped, not an overflow, whether the
+  // program is bound to the flow or general (ALL-keyed).
   auto wild = Assemble("wild", "setq 9\nsend\n");
   ASSERT_TRUE(wild.ok);
   PacketSpec spec;
@@ -97,15 +86,33 @@ TEST(Qos, PriorityFromVrpClampedToConfiguredQueues) {
   spec.protocol = kIpProtoTcp;
   spec.src_port = 7;
   spec.dst_port = 7;
-  InstallRequest req;
-  req.key = FlowKey::Tuple(spec.src_ip, spec.dst_ip, 7, 7);
-  req.where = Where::kMicroEngine;
-  req.program = &wild.program;
-  ASSERT_TRUE(router.Install(req).ok);
-  router.Start();
-  router.port(0).InjectFromWire(BuildPacket(spec));
-  router.RunForMs(2.0);
-  EXPECT_EQ(delivered, 1u);
+  for (const FlowKey& key : {FlowKey::Tuple(spec.src_ip, spec.dst_ip, 7, 7), FlowKey::All()}) {
+    SCOPED_TRACE(key.all ? "general" : "per-flow");
+    RouterConfig cfg;
+    cfg.queues_per_port = 2;
+    cfg.output_servicing = OutputServicing::kMultiQueueIndirection;
+    cfg.classifier = ClassifierMode::kFlowTable;
+    Router router(std::move(cfg));
+    for (int p = 0; p < router.num_ports(); ++p) {
+      router.AddRoute("10." + std::to_string(p) + ".0.0/16", static_cast<uint8_t>(p));
+    }
+    router.WarmRouteCache(8);
+    uint64_t delivered = 0;
+    router.port(1).SetSink([&](Packet&&) { ++delivered; });
+
+    InstallRequest req;
+    req.key = key;
+    req.where = Where::kMicroEngine;
+    req.program = &wild.program;
+    ASSERT_TRUE(router.Install(req).ok);
+    router.Start();
+    router.port(0).InjectFromWire(BuildPacket(spec));
+    router.RunForMs(2.0);
+    EXPECT_EQ(delivered, 1u);
+    // The packet went through port 1's last queue (priority 9 clamped to 1).
+    EXPECT_EQ(router.queues().QueueFor(0, 1, 0).pushes(), 0u);
+    EXPECT_EQ(router.queues().QueueFor(0, 1, 1).pushes(), 1u);
+  }
 }
 
 // --- DSCP tagger ---

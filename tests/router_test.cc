@@ -15,6 +15,7 @@
 #include "src/forwarders/vrp_programs.h"
 #include "src/net/tcp.h"
 #include "src/net/traffic_gen.h"
+#include "src/vrp/assembler.h"
 
 namespace npr {
 namespace {
@@ -246,6 +247,29 @@ TEST_F(RouterTest, InstalledPortFilterDropsMatchingTraffic) {
   router->port(0).InjectFromWire(BuildPacket(blocked));
   router->RunForMs(1.0);
   EXPECT_EQ(received_.per_port[2], 2u);
+  ExpectInvariants(*router);
+}
+
+TEST_F(RouterTest, GeneralExceptDivertsToStrongArm) {
+  // A general (ALL-keyed) MicroEngine forwarder's `except` diverts the
+  // packet to the StrongARM as a per-flow program's does, and the
+  // StrongARM forwards it on.
+  auto router = MakeRouter();
+  auto divert = Assemble("divert", "except\n");
+  ASSERT_TRUE(divert.ok);
+  InstallRequest req;
+  req.key = FlowKey::All();
+  req.where = Where::kMicroEngine;
+  req.program = &divert.program;
+  ASSERT_TRUE(router->Install(req).ok);
+  router->Start();
+  PacketSpec spec;
+  spec.dst_ip = DstIpForPort(2, 1);
+  router->port(0).InjectFromWire(BuildPacket(spec));
+  router->RunForMs(2.0);
+  EXPECT_EQ(router->stats().exceptional, 1u);
+  EXPECT_EQ(router->stats().sa_local_processed, 1u);
+  EXPECT_EQ(received_.per_port[2], 1u);
   ExpectInvariants(*router);
 }
 
